@@ -68,13 +68,10 @@ def vanilla_gauss(
             f"this mechanism materializes every cell"
         )
     sigma2 = Fraction(sens.gs2_squared) / (2 * Fraction(budget.rho).limit_denominator(RATIONAL_LIMIT))
-    rng = substream(seed, "vanilla-gauss")
-    values: Dict[Key, int] = {}
+    noise = sample_discrete_gaussian(sigma2, substream(seed, "vanilla-gauss"), size=universe)
+    cells = ((o, d) for o in table.origin.leaves for d in table.dest.leaves)
     counts = table.counts
-    for o in table.origin.leaves:
-        for d in table.dest.leaves:
-            key = (o, d)
-            values[key] = counts.get(key, 0) + sample_discrete_gaussian(sigma2, rng)
+    values = {key: counts.get(key, 0) + z for key, z in zip(cells, noise)}
     return LeafRelease(values=values, mechanism="vanilla-gauss")
 
 
@@ -98,10 +95,11 @@ def stability_histogram(
         raise ConfigError("stability histogram is calibrated for bounded privacy with m=1")
     threshold = stability_threshold(budget.epsilon, budget.delta)
     scale = Fraction(2) / Fraction(budget.epsilon).limit_denominator(RATIONAL_LIMIT)
-    rng = substream(seed, "stability-histogram")
+    keys = sorted(table.counts)
+    noise = sample_discrete_laplace(scale, substream(seed, "stability-histogram"), size=len(keys))
     values: Dict[Key, int] = {}
-    for key in sorted(table.counts):
-        noisy = table.counts[key] + sample_discrete_laplace(scale, rng)
+    for key, z in zip(keys, noise):
+        noisy = table.counts[key] + z
         if noisy >= threshold:
             values[key] = noisy
     return LeafRelease(values=values, mechanism="sh")

@@ -60,20 +60,30 @@ def _parse_sparsity(text: str) -> float:
         raise ConfigError(f"sparsity must be one of {names} or a float in (0, 1]") from None
 
 
+def _configured(build, *args, **kwargs):
+    """Call ``build``; a ValueError it raises is a configuration error (exit 4)."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _budget_from_args(args: argparse.Namespace) -> PrivacyBudget:
     if args.rho is not None and args.epsilon is not None:
         raise ConfigError("give either --rho or --epsilon, not both")
     if args.rho is not None:
-        return PrivacyBudget.from_rho(args.rho, args.delta)
+        return _configured(PrivacyBudget.from_rho, args.rho, args.delta)
     if args.epsilon is not None:
         if args.delta is None:
             raise ConfigError("--epsilon needs --delta")
-        return PrivacyBudget.from_eps_delta(args.epsilon, args.delta)
+        return _configured(PrivacyBudget.from_eps_delta, args.epsilon, args.delta)
     raise ConfigError("a privacy budget is required: --rho R or --epsilon E --delta D")
 
 
 def _sens_from_args(args: argparse.Namespace) -> SensitivityModel:
-    return SensitivityModel(privacy=args.privacy, m=args.m, distinct=not args.non_distinct)
+    return _configured(
+        SensitivityModel, privacy=args.privacy, m=args.m, distinct=not args.non_distinct
+    )
 
 
 def _meta_path(out: str, explicit: Optional[str]) -> str:
@@ -315,19 +325,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     order_flag = cfg.get("order", "asc")
     if order_flag not in ORDER_FLAGS:
         raise ConfigError(f"order must be one of {sorted(ORDER_FLAGS)}, got {order_flag!r}")
-    sens = SensitivityModel(
+    sens = _configured(
+        SensitivityModel,
         privacy=cfg.get("privacy", "bounded"),
         m=int(cfg.get("m", 1)),
         distinct=bool(cfg.get("distinct", True)),
     )
+    epsilons = [float(e) for e in cfg.get("epsilons", [1.0])]
+    delta = float(cfg.get("delta", 1e-8))
+    for eps in epsilons:
+        _configured(PrivacyBudget.from_eps_delta, eps, delta)
     out_dir = cfg.get("out_dir", ".")
     os.makedirs(out_dir, exist_ok=True)
 
     reports = run_experiment(
         table,
         mechanisms=mechanisms,
-        epsilons=[float(e) for e in cfg.get("epsilons", [1.0])],
-        delta=float(cfg.get("delta", 1e-8)),
+        epsilons=epsilons,
+        delta=delta,
         repeats=int(cfg.get("repeats", 10)),
         seed=int(cfg.get("seed", 0)),
         order=ORDER_FLAGS[order_flag],

@@ -6,12 +6,15 @@ obtained through the conversion
 
     epsilon = rho + 2 * sqrt(rho * ln(1/delta))
 
-All logarithms are natural. Noise is integer valued and sampled exactly with
-rational arithmetic: a geometric sampler built from Bernoulli(exp(-x)) coin
-flips, a discrete Laplace built from the geometric, and a discrete Gaussian
-built by rejection from the discrete Laplace. No floating-point distribution
-shortcut is involved, so the samplers carry none of the float-grid artifacts
-that break DP guarantees.
+All logarithms are natural. Noise is integer valued and sampled exactly: a
+discrete Laplace from a geometric built on Bernoulli(exp(-x)) coin flips, and
+a discrete Gaussian by rejection from the discrete Laplace. What the parameter
+fixes (its exact rational, the envelope scale, the acceptance denominator) is
+derived once per call, and one call returns a vector of draws. Each uniform
+integer is a rejection draw on ``getrandbits``, the loop CPython's
+``randrange`` runs, so it is exact and consumes the same bits. No
+floating-point shortcut is involved, so the samplers carry none of the
+float-grid artifacts that break DP guarantees.
 
 Randomness comes from stdlib ``random.Random`` instances. ``substream`` derives
 independent, reproducible generators from a root seed and a tuple of tokens
@@ -26,7 +29,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import List, Optional, Union
 
 __all__ = [
     "PrivacyBudget",
@@ -98,8 +101,8 @@ class PrivacyBudget:
     delta: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not self.rho > 0:
-            raise ValueError("rho must be > 0")
+        if not (math.isfinite(self.rho) and self.rho > 0):
+            raise ValueError(f"rho must be finite and > 0, got {self.rho!r}")
 
     @classmethod
     def from_rho(cls, rho: float, delta: Optional[float] = None) -> "PrivacyBudget":
@@ -109,8 +112,8 @@ class PrivacyBudget:
 
     @classmethod
     def from_eps_delta(cls, eps: float, delta: float) -> "PrivacyBudget":
-        if not eps > 0:
-            raise ValueError("eps must be > 0")
+        if not (math.isfinite(eps) and eps > 0):
+            raise ValueError(f"eps must be finite and > 0, got {eps!r}")
         return cls(rho=rho_from_eps_delta(eps, delta), epsilon=float(eps), delta=float(delta))
 
 
@@ -177,9 +180,11 @@ def stability_threshold(eps: float, delta: float) -> float:
 # ---------------------------------------------------------------------------
 # exact samplers
 #
-# The building block is Bernoulli(exp(-num/den)) realized with integer
-# randomness only (von Neumann's series trick), so every distribution below is
-# sampled exactly for rational parameters.
+# Two integer steps, inlined in the loops below, make every draw exact: a
+# uniform below n is getrandbits(n.bit_length()) redrawn until below n (the
+# loop random.randrange(n) runs, bit for bit), and Bernoulli(exp(-x/n)) for
+# 0 <= x <= n (von Neumann) draws uniforms below n, 2n, 3n, ... until one is
+# >= x and is 1 iff that took an odd number of draws.
 
 
 def _as_fraction(value: Numeric) -> Fraction:
@@ -190,77 +195,107 @@ def _as_fraction(value: Numeric) -> Fraction:
     return Fraction(value).limit_denominator(RATIONAL_LIMIT)
 
 
-def _bernoulli_exp_le1(num: int, den: int, rng: random.Random) -> int:
-    # Bernoulli(exp(-num/den)) for 0 <= num <= den.
-    k = 1
-    while rng.randrange(k * den) < num:
+def _exp_minus_one(getrandbits) -> int:
+    # Bernoulli(exp(-1)); the first uniform is below 1, so it is 0, yet it
+    # still costs bits
+    while getrandbits(1):
+        pass
+    k = 2
+    while True:
+        bits = k.bit_length()
+        r = getrandbits(bits)
+        while r >= k:
+            r = getrandbits(bits)
+        if r:
+            return k & 1
         k += 1
-    return k & 1
 
 
-def _bernoulli_exp(num: int, den: int, rng: random.Random) -> int:
-    # Bernoulli(exp(-num/den)) for any num/den >= 0, by peeling exp(-1) factors.
-    while num > den:
-        if not _bernoulli_exp_le1(1, 1, rng):
-            return 0
-        num -= den
-    return _bernoulli_exp_le1(num, den, rng)
+def _exact_draws(count: int, p: int, q: int, getrandbits,
+                 num: int = 0, den_t: int = 0, accept_den: int = 0) -> List[int]:
+    # ``count`` draws, mass proportional to exp(-|x| * q/p): a geometric on the
+    # p-fine grid (offset kept w.p. exp(-offset/p), plus whole units kept at
+    # exp(-1) each), divided by q, with a random sign. With accept_den > 0 a
+    # draw y is kept w.p. exp(-(|y| * den_t - num)^2 / accept_den), else redrawn.
+    p_bits, accept_bits = p.bit_length(), accept_den.bit_length()
+    draws: List[int] = []
+    while len(draws) < count:
+        negative = getrandbits(1)
+        odd = False
+        while not odd:
+            offset = getrandbits(p_bits)
+            while offset >= p:
+                offset = getrandbits(p_bits)
+            n, bits, odd = p, p_bits, True
+            r = getrandbits(bits)
+            while r >= n:
+                r = getrandbits(bits)
+            while r < offset:
+                n += p
+                odd = not odd
+                bits = n.bit_length()
+                r = getrandbits(bits)
+                while r >= n:
+                    r = getrandbits(bits)
+        while _exp_minus_one(getrandbits):
+            offset += p
+        y = offset // q
+        if negative:
+            if not y:
+                continue  # zero owns a single atom
+            y = -y
+        if accept_den:
+            a = (abs(y) * den_t - num) ** 2
+            while a > accept_den and _exp_minus_one(getrandbits):
+                a -= accept_den
+            if a > accept_den:
+                continue
+            n, bits, odd = accept_den, accept_bits, True
+            r = getrandbits(bits)
+            while r >= n:
+                r = getrandbits(bits)
+            while r < a:
+                n += accept_den
+                odd = not odd
+                bits = n.bit_length()
+                r = getrandbits(bits)
+                while r >= n:
+                    r = getrandbits(bits)
+            if not odd:
+                continue
+        draws.append(y)
+    return draws
 
 
-def _geometric_exp(num: int, den: int, rng: random.Random) -> int:
-    # P[k] proportional to exp(-k * num/den) on k = 0, 1, 2, ...; num, den >= 1.
-    # Sample at unit rate over a den-fine grid, then contract by num.
-    while True:
-        offset = rng.randrange(den)
-        if _bernoulli_exp_le1(offset, den, rng):
-            break
-    units = 0
-    while _bernoulli_exp_le1(1, 1, rng):
-        units += 1
-    return (units * den + offset) // num
+def sample_discrete_laplace(scale: Numeric, rng: random.Random, size: Optional[int] = None):
+    """Exact integer Laplace draw, mass proportional to exp(-|x| / scale).
 
-
-def sample_discrete_laplace(scale: Numeric, rng: random.Random) -> int:
-    """Exact integer Laplace draw, mass proportional to exp(-|x| / scale)."""
+    Returns one int, or a list of ``size`` draws taken in sequence.
+    """
     frac = _as_fraction(scale)
-    if frac <= 0:
+    if frac.numerator <= 0:
         raise ValueError("scale must be > 0")
-    while True:
-        negative = rng.getrandbits(1)
-        magnitude = _geometric_exp(frac.denominator, frac.numerator, rng)
-        if negative and magnitude == 0:
-            continue  # zero owns a single atom; resample instead of double counting
-        return -magnitude if negative else magnitude
+    count = 1 if size is None else size
+    draws = _exact_draws(count, frac.numerator, frac.denominator, rng.getrandbits)
+    return draws[0] if size is None else draws
 
 
-def _floor_sqrt(num: int, den: int) -> int:
-    # floor(sqrt(num/den)) in exact integer arithmetic.
-    root = math.isqrt(num // den)
-    while (root + 1) * (root + 1) * den <= num:
-        root += 1
-    while root * root * den > num:
-        root -= 1
-    return root
-
-
-def sample_discrete_gaussian(sigma2: Numeric, rng: random.Random) -> int:
+def sample_discrete_gaussian(sigma2: Numeric, rng: random.Random, size: Optional[int] = None):
     """Exact integer Gaussian draw, mass proportional to exp(-x^2 / (2*sigma2)).
 
     Rejection from a discrete Laplace envelope at scale t = floor(sigma) + 1,
     accepting y with probability exp(-(|y| - sigma2/t)^2 / (2*sigma2)). Every
-    comparison is exact rational arithmetic.
+    comparison is exact integer arithmetic. Returns one int, or a list of
+    ``size`` draws taken in sequence.
     """
     frac = _as_fraction(sigma2)
-    if frac <= 0:
-        raise ValueError("sigma2 must be > 0")
     num, den = frac.numerator, frac.denominator
-    t = _floor_sqrt(num, den) + 1
-    accept_den = 2 * num * den * t * t
-    while True:
-        y = sample_discrete_laplace(t, rng)
-        accept_num = (abs(y) * den * t - num) ** 2
-        if _bernoulli_exp(accept_num, accept_den, rng):
-            return y
+    if num <= 0:
+        raise ValueError("sigma2 must be > 0")
+    t = math.isqrt(num // den) + 1  # floor(sqrt(floor(x))) == floor(sqrt(x))
+    count = 1 if size is None else size
+    draws = _exact_draws(count, t, 1, rng.getrandbits, num, den * t, 2 * num * den * t * t)
+    return draws[0] if size is None else draws
 
 
 # ---------------------------------------------------------------------------

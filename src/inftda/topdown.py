@@ -142,10 +142,8 @@ def release(
                 continue
             children = tree.child_keys(parent_key, depth - 1)
             rng = substream(config.seed, depth - 1, parent_key[0], parent_key[1])
-            noisy = [
-                true_map.get(child, 0) + sample_discrete_gaussian(sigma2, rng)
-                for child in children
-            ]
+            noise = sample_discrete_gaussian(sigma2, rng, size=len(children))
+            noisy = [true_map.get(child, 0) + z for child, z in zip(children, noise)]
             values = solver(noisy, total, config.order, rng)
             for child, value in zip(children, values):
                 if value > 0:

@@ -143,6 +143,31 @@ class TestExitCodes:
         assert run("release", "--data", str(dataset), "--mechanism", "vanilla-gauss",
                    "--rho", "1", "--universe-cap", "2", "--out", out) == 4
 
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            ["--rho", "0"],
+            ["--rho", "nan"],
+            ["--rho", "inf"],
+            ["--epsilon", "1", "--delta", "5"],
+            ["--rho", "1", "--m", "0"],
+        ],
+        ids=["rho-0", "rho-nan", "rho-inf", "delta-5", "m-0"],
+    )
+    def test_bad_budget_is_4(self, dataset, tmp_path, budget):
+        assert run("release", "--data", str(dataset), "--mechanism", "inftda",
+                   *budget, "--out", str(tmp_path / "x.csv")) == 4
+
+    @pytest.mark.parametrize(
+        "bad", [{"epsilons": [0.0]}, {"epsilons": ["inf"]}, {"delta": 2.0}, {"m": 0}],
+        ids=["eps-0", "eps-inf", "delta-2", "m-0"],
+    )
+    def test_bad_sweep_budget_is_4(self, dataset, tmp_path, bad):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"data": str(dataset), "mechanisms": ["inftda"],
+                                      "repeats": 1, "out_dir": str(tmp_path), **bad}))
+        assert run("sweep", "--config", str(config)) == 4
+
     def test_bad_sweep_config_is_3(self, tmp_path):
         config = tmp_path / "broken.json"
         config.write_text("{not json")

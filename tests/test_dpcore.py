@@ -83,6 +83,15 @@ class TestPrivacyBudget:
         with pytest.raises(ValueError):
             PrivacyBudget.from_eps_delta(0.0, 1e-8)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_nonfinite_budget_rejected(self, bad):
+        with pytest.raises(ValueError):
+            PrivacyBudget.from_rho(bad)
+        with pytest.raises(ValueError):
+            PrivacyBudget.from_rho(bad, 1e-8)
+        with pytest.raises(ValueError):
+            PrivacyBudget.from_eps_delta(bad, 1e-8)
+
 
 class TestSensitivityModel:
     @pytest.mark.parametrize("m", [1, 2, 5])
@@ -163,10 +172,12 @@ class TestSamplers:
 
     def test_invalid_parameters(self):
         rng = substream(0)
-        with pytest.raises(ValueError):
-            sample_discrete_gaussian(0, rng)
-        with pytest.raises(ValueError):
-            sample_discrete_laplace(-1, rng)
+        for bad in (0, -1, Fraction(-1, 3), -0.5):
+            for size in (None, 4):
+                with pytest.raises(ValueError):
+                    sample_discrete_gaussian(bad, rng, size=size)
+                with pytest.raises(ValueError):
+                    sample_discrete_laplace(bad, rng, size=size)
 
 
 class TestSubstreams:
