@@ -50,12 +50,12 @@ __all__ = ["main"]
 ORDER_FLAGS = {"asc": "ascending", "desc": "descending", "random": "random"}
 
 
-def _parse_sparsity(text: str) -> float:
-    if text in SPARSITY_NAMES:
-        return SPARSITY_NAMES[text]
+def _parse_sparsity(value) -> float:
+    if isinstance(value, str) and value in SPARSITY_NAMES:
+        return SPARSITY_NAMES[value]
     try:
-        return float(text)
-    except ValueError:
+        return float(value)
+    except (TypeError, ValueError):
         names = ", ".join(sorted(SPARSITY_NAMES))
         raise ConfigError(f"sparsity must be one of {names} or a float in (0, 1]") from None
 
@@ -66,6 +66,21 @@ def _configured(build, *args, **kwargs):
         return build(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+
+
+def _config_field(block: dict, name: str, convert, default=None):
+    """``convert(block[name])``; a value it cannot convert is a configuration error."""
+    value = block.get(name, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"bad value {value!r} for config field {name!r}") from None
+
+
+def _float_list(values) -> List[float]:
+    if not isinstance(values, list):
+        raise TypeError("expected a list")
+    return [float(v) for v in values]
 
 
 def _budget_from_args(args: argparse.Namespace) -> PrivacyBudget:
@@ -153,19 +168,19 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_release(args: argparse.Namespace) -> int:
     table = load_dataset(args.data)
-    tree = build_tree(table, args.tree)
     budget = _budget_from_args(args)
     sens = _sens_from_args(args)
     order = ORDER_FLAGS[args.order]
 
     if args.mechanism in LEAF_MECHANISMS:
+        depth = 2 * table.origin.levels
         start = time.perf_counter()
         if args.mechanism == "vanilla-gauss":
             leaf = vanilla_gauss(table, budget, sens, args.seed, args.universe_cap)
         else:
             leaf = stability_histogram(table, budget, sens, args.seed)
         wall_ms = (time.perf_counter() - start) * 1000.0
-        levels = {tree.depth: leaf.values}
+        levels = {depth: leaf.values}
         meta = {
             "mechanism": args.mechanism,
             "mode": sens.privacy,
@@ -175,14 +190,13 @@ def cmd_release(args: argparse.Namespace) -> int:
             "sensitivity": {"type": sens.privacy, "m": sens.m, "distinct": sens.distinct},
             "order": None,
             "seed": args.seed,
-            "depth": tree.depth,
-            "tree": tree.mode,
-            "per_level": [
-                {"depth": tree.depth, "node_count": len(leaf.values), "wall_ms": wall_ms}
-            ],
+            "depth": depth,
+            "tree": args.tree,
+            "per_level": [{"depth": depth, "node_count": len(leaf.values), "wall_ms": wall_ms}],
         }
         released_nodes = len(leaf.values)
     else:
+        tree = build_tree(table, args.tree)
         config = ReleaseConfig(budget=budget, sensitivity=sens, order=order, seed=args.seed)
         if args.mechanism == "tda-l2":
             rel = tda_l2(tree, config)
@@ -289,18 +303,15 @@ def _table_from_sweep_config(cfg: dict):
     if "data" in cfg:
         return load_dataset(cfg["data"])
     if "synth" in cfg:
-        s = dict(cfg["synth"])
-        seed = int(s.pop("seed", 0))
-        sparsity = s.get("sparsity", 1.0)
-        if isinstance(sparsity, str):
-            sparsity = _parse_sparsity(sparsity)
+        s = _config_field(cfg, "synth", dict)
+        seed = _config_field(s, "seed", int, 0)
         spec = SynthSpec(
             kind=s.get("kind", "binary"),
-            levels=int(s.get("levels", 0)),
-            k_min=int(s.get("k_min", 2)),
-            k_max=int(s.get("k_max", 10)),
-            sparsity=float(sparsity),
-            exponent=float(s.get("exponent", 2.0)),
+            levels=_config_field(s, "levels", int, 0),
+            k_min=_config_field(s, "k_min", int, 2),
+            k_max=_config_field(s, "k_max", int, 10),
+            sparsity=_parse_sparsity(s.get("sparsity", 1.0)),
+            exponent=_config_field(s, "exponent", float, 2.0),
         )
         origin = gen_partition(spec, seed, "origin")
         dest = gen_partition(spec, seed, "destination")
@@ -317,6 +328,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except json.JSONDecodeError as exc:
         raise DataError(f"{args.config} is not valid JSON: {exc}") from None
 
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{args.config} must hold a JSON object")
     table = _table_from_sweep_config(cfg)
     mechanisms = cfg.get("mechanisms", list(MECHANISMS))
     for mech in mechanisms:
@@ -328,11 +341,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     sens = _configured(
         SensitivityModel,
         privacy=cfg.get("privacy", "bounded"),
-        m=int(cfg.get("m", 1)),
+        m=_config_field(cfg, "m", int, 1),
         distinct=bool(cfg.get("distinct", True)),
     )
-    epsilons = [float(e) for e in cfg.get("epsilons", [1.0])]
-    delta = float(cfg.get("delta", 1e-8))
+    epsilons = _config_field(cfg, "epsilons", _float_list, [1.0])
+    delta = _config_field(cfg, "delta", float, 1e-8)
     for eps in epsilons:
         _configured(PrivacyBudget.from_eps_delta, eps, delta)
     out_dir = cfg.get("out_dir", ".")
@@ -343,15 +356,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         mechanisms=mechanisms,
         epsilons=epsilons,
         delta=delta,
-        repeats=int(cfg.get("repeats", 10)),
-        seed=int(cfg.get("seed", 0)),
+        repeats=_config_field(cfg, "repeats", int, 10),
+        seed=_config_field(cfg, "seed", int, 0),
         order=ORDER_FLAGS[order_flag],
         mode=cfg.get("tree", "destination"),
         sens=sens,
-        workers=int(cfg.get("workers", 1)),
-        universe_cap=int(cfg.get("universe_cap", UNIVERSE_CAP)),
+        workers=_config_field(cfg, "workers", int, 1),
+        universe_cap=_config_field(cfg, "universe_cap", int, UNIVERSE_CAP),
         branching=cfg.get("branching"),
-        beta=float(cfg.get("beta", 0.01)),
+        beta=_config_field(cfg, "beta", float, 0.01),
     )
     for report in reports:
         eps_tag = "" if report.epsilon is None else f"_eps{report.epsilon:g}"

@@ -55,7 +55,6 @@ class PartitionHierarchy:
         self._areas = areas
         self._children = children
         self._parents = parents
-        self._paths: Dict[str, Tuple[str, ...]] = {}
 
     @property
     def levels(self) -> int:
@@ -95,18 +94,13 @@ class PartitionHierarchy:
 
     def path(self, leaf: str) -> Tuple[str, ...]:
         """Ancestor chain of a leaf, root first: (ROOT_AREA, a_1, ..., a_g)."""
-        cached = self._paths.get(leaf)
-        if cached is not None:
-            return cached
         if leaf not in self._parents[self.levels]:
             raise DataError(f"unknown leaf {leaf!r}")
         chain = [leaf]
         for level in range(self.levels, 0, -1):
             chain.append(self._parents[level][chain[-1]])
         chain.reverse()
-        path = tuple(chain)
-        self._paths[leaf] = path
-        return path
+        return tuple(chain)
 
     def subtree_leaves(self, level: int, area: str) -> Tuple[str, ...]:
         """All leaves under ``area`` at ``level``."""
@@ -362,6 +356,39 @@ class HierTree:
             raise DataError(f"depth {depth} outside [0, {self.depth}]")
 
 
+def _sum_into_parents(
+    nodes: Dict[Key, int],
+    depth: int,
+    origin: PartitionHierarchy,
+    dest: PartitionHierarchy,
+    mode: str,
+) -> Dict[Key, int]:
+    """Sum the nodes at ``depth`` (>= 1) into their parents one depth up.
+
+    Going up undoes the one side that ``depth`` split, so each node costs one
+    parent lookup on that side. Parents appear in the order of their first
+    child; sums that cancel to zero are kept.
+    """
+    level = (depth + 1) // 2  # the side this depth split is the finer one
+    split_dest = (depth % 2 == 1) == (mode == "destination")
+    up = (dest if split_dest else origin)._parents[level]
+    sums: Dict[Key, int] = {}
+    get = sums.get
+    try:
+        if split_dest:
+            for (o, d), value in nodes.items():
+                key = (o, up[d])
+                sums[key] = get(key, 0) + value
+        else:
+            for (o, d), value in nodes.items():
+                key = (up[o], d)
+                sums[key] = get(key, 0) + value
+    except KeyError as exc:
+        side = "destination" if split_dest else "origin"
+        raise DataError(f"unknown {side} area {exc.args[0]!r} at level {level}") from None
+    return sums
+
+
 def aggregate_leaf_map(
     leaf_values: Dict[Key, int],
     origin: PartitionHierarchy,
@@ -370,33 +397,17 @@ def aggregate_leaf_map(
 ) -> List[Dict[Key, int]]:
     """Roll a leaf-level value map up into per-depth maps (depth 0..2g).
 
-    One O(len * g) pass. Values may be negative; aggregates that cancel to
-    exactly zero are dropped, matching the sparse read-as-zero convention.
+    One pass per depth over that depth's nodes, each summed into its parent.
+    Values may be negative; aggregates that cancel to exactly zero are dropped
+    at the end, matching the sparse read-as-zero convention (dropping them
+    while rolling up would reorder the keys above them).
     """
     if mode not in ("destination", "origin"):
         raise DataError(f"mode must be 'destination' or 'origin', got {mode!r}")
-    g = origin.levels
-    maps: List[Dict[Key, int]] = [dict() for _ in range(2 * g + 1)]
-    for (o, d), value in leaf_values.items():
-        if value == 0:
-            continue
-        po = origin.path(o)
-        pd = dest.path(d)
-        for lvl in range(g + 1):
-            key = (po[lvl], pd[lvl])
-            m = maps[2 * lvl]
-            m[key] = m.get(key, 0) + value
-        if mode == "destination":
-            for lvl in range(g):
-                key = (po[lvl], pd[lvl + 1])
-                m = maps[2 * lvl + 1]
-                m[key] = m.get(key, 0) + value
-        else:
-            for lvl in range(g):
-                key = (po[lvl + 1], pd[lvl])
-                m = maps[2 * lvl + 1]
-                m[key] = m.get(key, 0) + value
-    return [{k: v for k, v in m.items() if v != 0} for m in maps]
+    maps = [{key: value for key, value in leaf_values.items() if value != 0}]
+    for depth in range(2 * origin.levels, 0, -1):
+        maps.append(_sum_into_parents(maps[-1], depth, origin, dest, mode))
+    return [{k: v for k, v in m.items() if v != 0} for m in reversed(maps)]
 
 
 def build_tree(table: TripTable, mode: str = "destination") -> HierTree:
@@ -422,10 +433,9 @@ def validate_consistency(tree: HierTree) -> List[Tuple[str, str, int]]:
             if value < 0:
                 bad.append((o, d, depth))
     for depth in range(tree.depth):
-        sums: Dict[Key, int] = {}
-        for key, value in tree.levels[depth + 1].items():
-            parent = tree.parent_key(key, depth + 1)
-            sums[parent] = sums.get(parent, 0) + value
+        sums = _sum_into_parents(
+            tree.levels[depth + 1], depth + 1, tree.origin, tree.dest, tree.mode
+        )
         parent_map = tree.levels[depth]
         for key in set(parent_map) | set(sums):
             if parent_map.get(key, 0) != sums.get(key, 0):

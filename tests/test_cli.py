@@ -168,6 +168,49 @@ class TestExitCodes:
                                       "repeats": 1, "out_dir": str(tmp_path), **bad}))
         assert run("sweep", "--config", str(config)) == 4
 
+    @pytest.mark.parametrize("tree", ["destination", "origin"])
+    @pytest.mark.parametrize("side", ["origin", "destination"])
+    def test_unknown_leaf_in_leaf_release_is_3(self, dataset, tmp_path, tree, side):
+        rel = tmp_path / "sh.csv"
+        assert run("release", "--data", str(dataset), "--mechanism", "sh", "--tree", tree,
+                   "--epsilon", "1", "--delta", "1e-8", "--out", str(rel)) == 0
+        header, first, *rest = rel.read_text().splitlines()
+        depth, o, d, flow = first.split(",")
+        if side == "origin":
+            o = "nowhere"
+        else:
+            d = "nowhere"
+        rel.write_text("\n".join([header, f"{depth},{o},{d},{flow}", *rest]) + "\n")
+        assert run("evaluate", "--truth", str(dataset), "--release", str(rel),
+                   "--out", str(tmp_path / "report.csv")) == 3
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"epsilons": ["one"]},
+            {"epsilons": 1.0},
+            {"m": "x"},
+            {"repeats": "x"},
+            {"synth": {"levels": "two"}},
+            {"synth": "binary"},
+        ],
+        ids=["eps-word", "eps-scalar", "m-word", "repeats-word", "synth-levels-word",
+             "synth-string"],
+    )
+    def test_malformed_sweep_value_is_4(self, dataset, tmp_path, bad):
+        cfg = {"mechanisms": ["inftda"], "repeats": 1, "out_dir": str(tmp_path), **bad}
+        if "synth" not in cfg:
+            cfg["data"] = str(dataset)
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(cfg))
+        assert run("sweep", "--config", str(config)) == 4
+
+    @pytest.mark.parametrize("text", ["5", '["data"]'], ids=["number", "list"])
+    def test_sweep_config_not_an_object_is_4(self, tmp_path, text):
+        config = tmp_path / "sweep.json"
+        config.write_text(text)
+        assert run("sweep", "--config", str(config)) == 4
+
     def test_bad_sweep_config_is_3(self, tmp_path):
         config = tmp_path / "broken.json"
         config.write_text("{not json")

@@ -203,6 +203,18 @@ class TestAggregation:
         with pytest.raises(DataError, match="mode"):
             aggregate_leaf_map({}, origin_hier, dest_hier, "both")
 
+    @pytest.mark.parametrize("mode", ["destination", "origin"])
+    @pytest.mark.parametrize(
+        "key",
+        [("Z", "E.x"), ("N.a", "Z"), ("N", "E.x"), ("N.a", "E")],
+        ids=["origin", "destination", "origin-inner-area", "destination-inner-area"],
+    )
+    def test_unknown_leaf_rejected(self, origin_hier, dest_hier, mode, key):
+        # inner areas are known ids, but not at the leaf level
+        leaves = {("N.a", "E.y"): 1, key: 2, ("S.c", "W.z"): 3}
+        with pytest.raises(DataError, match="unknown"):
+            aggregate_leaf_map(leaves, origin_hier, dest_hier, mode)
+
 
 class TestValidateConsistency:
     def test_detects_broken_sum(self, trip_table):
@@ -214,6 +226,7 @@ class TestValidateConsistency:
         bad = validate_consistency(broken)
         parent = broken.parent_key(key, 4)
         assert (parent[0], parent[1], 3) in bad
+        assert bad == [("N", "E.x", 3)]
 
     def test_detects_negative_value(self, trip_table):
         tree = build_tree(trip_table)
@@ -222,6 +235,7 @@ class TestValidateConsistency:
         broken = HierTree("destination", trip_table.origin, trip_table.dest, levels)
         bad = validate_consistency(broken)
         assert ("N.b", "E.x", 4) in bad
+        assert bad == [("N", "E.x", 3), ("N.b", "E.x", 4)]
 
     def test_detects_orphan(self, trip_table):
         tree = build_tree(trip_table)
@@ -231,3 +245,4 @@ class TestValidateConsistency:
         broken = HierTree("destination", trip_table.origin, trip_table.dest, levels)
         bad = validate_consistency(broken)
         assert any(depth == 3 for (_, _, depth) in bad)
+        assert bad == [("N", "E.x", 3)]
