@@ -6,14 +6,7 @@ per-parent Chebyshev-optimal integer projection, and ships the baselines,
 synthetic benchmarks, and evaluation harness used to exercise it.
 """
 
-from .baselines import (
-    UNIVERSE_CAP,
-    LeafRelease,
-    aggregate_up,
-    stability_histogram,
-    tda_l2,
-    vanilla_gauss,
-)
+from .baselines import UNIVERSE_CAP, aggregate_up, stability_histogram, tda_l2, vanilla_gauss
 from .dataio import (
     load_dataset,
     read_hierarchy_csv,
@@ -60,13 +53,7 @@ from .hierarchy import (
 )
 from .intopt import ORDERS, OptResult, brute_force_oracle, intopt_fast, intopt_simple, lower_bound
 from .synth import SPARSITY_NAMES, SynthSpec, gen_dataset, gen_flows, gen_partition
-from .topdown import (
-    DPRelease,
-    ReleaseConfig,
-    export_table,
-    release,
-    theoretical_error_envelope,
-)
+from .topdown import DPRelease, ReleaseConfig, release, theoretical_error_envelope
 
 __version__ = "0.1.0"
 
@@ -76,7 +63,6 @@ __all__ = [
     "DPRelease",
     "EvalReport",
     "HierTree",
-    "LeafRelease",
     "LevelStats",
     "MECHANISMS",
     "ORDERS",
@@ -96,7 +82,6 @@ __all__ = [
     "build_tree",
     "derive_seed",
     "eps_from_rho",
-    "export_table",
     "false_discovery_rate",
     "gen_dataset",
     "gen_flows",

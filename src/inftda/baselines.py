@@ -3,13 +3,13 @@
 Two leaf-level mechanisms (flat Gaussian over the whole universe, and a
 stability histogram over the populated cells only) and one tree mechanism
 (the same top-down descent with a Euclidean projection instead of the
-Chebyshev solver). ``aggregate_up`` rolls leaf-level output into per-depth
-maps so all mechanisms are comparable level by level.
+Chebyshev solver). The leaf mechanisms return their released leaf map;
+``aggregate_up`` rolls it into per-depth maps so all mechanisms are comparable
+level by level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence
 
@@ -29,7 +29,6 @@ from .hierarchy import Key, PartitionHierarchy, TripTable, aggregate_leaf_map
 from .topdown import DPRelease, HierTree, ReleaseConfig, release
 
 __all__ = [
-    "LeafRelease",
     "UNIVERSE_CAP",
     "vanilla_gauss",
     "stability_histogram",
@@ -40,21 +39,13 @@ __all__ = [
 UNIVERSE_CAP = 10_000_000
 
 
-@dataclass
-class LeafRelease:
-    """Leaf-level mechanism output: a value per released O/D pair."""
-
-    values: Dict[Key, int]
-    mechanism: str
-
-
 def vanilla_gauss(
     table: TripTable,
     budget: PrivacyBudget,
     sens: SensitivityModel = SensitivityModel(),
     seed: int = 0,
     universe_cap: int = UNIVERSE_CAP,
-) -> LeafRelease:
+) -> Dict[Key, int]:
     """Discrete Gaussian noise on every leaf cell of the full O/D universe.
 
     One shot at full budget: variance GS2^2 / (2 rho) per cell. Negative
@@ -71,8 +62,7 @@ def vanilla_gauss(
     noise = sample_discrete_gaussian(sigma2, substream(seed, "vanilla-gauss"), size=universe)
     cells = ((o, d) for o in table.origin.leaves for d in table.dest.leaves)
     counts = table.counts
-    values = {key: counts.get(key, 0) + z for key, z in zip(cells, noise)}
-    return LeafRelease(values=values, mechanism="vanilla-gauss")
+    return {key: counts.get(key, 0) + z for key, z in zip(cells, noise)}
 
 
 def stability_histogram(
@@ -80,7 +70,7 @@ def stability_histogram(
     budget: PrivacyBudget,
     sens: SensitivityModel = SensitivityModel(),
     seed: int = 0,
-) -> LeafRelease:
+) -> Dict[Key, int]:
     """Noise the populated cells only, then drop everything under a threshold.
 
     Integer Laplace noise at scale 2/eps on each positive count; a noisy count
@@ -102,7 +92,7 @@ def stability_histogram(
         noisy = table.counts[key] + z
         if noisy >= threshold:
             values[key] = noisy
-    return LeafRelease(values=values, mechanism="sh")
+    return values
 
 
 def _project_to_simplex(x: np.ndarray, total: int) -> np.ndarray:

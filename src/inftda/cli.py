@@ -17,16 +17,16 @@ import argparse
 import json
 import os
 import sys
-import time
 from typing import Dict, List, Optional
 
-from .baselines import UNIVERSE_CAP, aggregate_up, stability_histogram, tda_l2, vanilla_gauss
+from .baselines import UNIVERSE_CAP, aggregate_up
 from .dataio import (
     load_dataset,
     read_hierarchy_csv,
     read_release_csv,
     read_trips_csv,
     save_dataset,
+    sidecar_path,
     write_hierarchy_csv,
     write_release_csv,
     write_trips_csv,
@@ -34,16 +34,16 @@ from .dataio import (
 from .dpcore import PrivacyBudget, SensitivityModel
 from .errors import ConfigError, DataError
 from .evaluate import (
-    LEAF_MECHANISMS,
     MECHANISMS,
     false_discovery_rate,
     max_abs_error_per_level,
     run_experiment,
+    run_release,
     write_report,
 )
 from .hierarchy import HierTree, Key, build_tree
-from .synth import SPARSITY_NAMES, SynthSpec, gen_flows, gen_partition
-from .topdown import ReleaseConfig, release
+from .synth import SPARSITY_NAMES, SynthSpec, gen_dataset, gen_flows, gen_partition
+from .topdown import ReleaseConfig
 
 __all__ = ["main"]
 
@@ -73,14 +73,46 @@ def _config_field(block: dict, name: str, convert, default=None):
     value = block.get(name, default)
     try:
         return convert(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"bad value {value!r} for config field {name!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value {value!r} for config field {name!r}: {exc}") from None
 
 
-def _float_list(values) -> List[float]:
-    if not isinstance(values, list):
-        raise TypeError("expected a list")
-    return [float(v) for v in values]
+def _text(*choices: str):
+    """A converter that accepts a string, one of ``choices`` if any are given."""
+
+    def convert(value) -> str:
+        if not isinstance(value, str):
+            raise TypeError("expected a string")
+        if choices and value not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}")
+        return value
+
+    return convert
+
+
+def _list_of(convert):
+    def convert_all(values) -> list:
+        if not isinstance(values, list):
+            raise TypeError("expected a list")
+        return [convert(v) for v in values]
+
+    return convert_all
+
+
+def _read_json(path: str):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path} is not valid JSON: {exc}") from None
+
+
+def _write_json(path: str, payload) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def _budget_from_args(args: argparse.Namespace) -> PrivacyBudget:
@@ -99,13 +131,6 @@ def _sens_from_args(args: argparse.Namespace) -> SensitivityModel:
     return _configured(
         SensitivityModel, privacy=args.privacy, m=args.m, distinct=not args.non_distinct
     )
-
-
-def _meta_path(out: str, explicit: Optional[str]) -> str:
-    if explicit:
-        return explicit
-    stem = out[:-4] if out.endswith(".csv") else out
-    return stem + ".meta.json"
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +181,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         "support": len(table),
         "total_trips": table.n,
     }
-    with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(args.out, "manifest.json"), manifest)
     print(
         f"wrote {spec.kind} dataset to {args.out}: {len(table)} populated pairs "
         f"of {table.universe_size} ({table.n} trips)"
@@ -168,57 +191,22 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_release(args: argparse.Namespace) -> int:
     table = load_dataset(args.data)
-    budget = _budget_from_args(args)
-    sens = _sens_from_args(args)
-    order = ORDER_FLAGS[args.order]
+    config = ReleaseConfig(
+        budget=_budget_from_args(args),
+        sensitivity=_sens_from_args(args),
+        order=ORDER_FLAGS[args.order],
+        seed=args.seed,
+    )
+    # leaf-only mechanisms never read the true tree, so it is not built for them
+    tree = None if MECHANISMS[args.mechanism].leaf_only else build_tree(table, args.tree)
+    rel = run_release(args.mechanism, table, args.tree, tree, config, args.universe_cap)
 
-    if args.mechanism in LEAF_MECHANISMS:
-        depth = 2 * table.origin.levels
-        start = time.perf_counter()
-        if args.mechanism == "vanilla-gauss":
-            leaf = vanilla_gauss(table, budget, sens, args.seed, args.universe_cap)
-        else:
-            leaf = stability_histogram(table, budget, sens, args.seed)
-        wall_ms = (time.perf_counter() - start) * 1000.0
-        levels = {depth: leaf.values}
-        meta = {
-            "mechanism": args.mechanism,
-            "mode": sens.privacy,
-            "rho": budget.rho,
-            "epsilon": budget.epsilon,
-            "delta": budget.delta,
-            "sensitivity": {"type": sens.privacy, "m": sens.m, "distinct": sens.distinct},
-            "order": None,
-            "seed": args.seed,
-            "depth": depth,
-            "tree": args.tree,
-            "per_level": [{"depth": depth, "node_count": len(leaf.values), "wall_ms": wall_ms}],
-        }
-        released_nodes = len(leaf.values)
-    else:
-        tree = build_tree(table, args.tree)
-        config = ReleaseConfig(budget=budget, sensitivity=sens, order=order, seed=args.seed)
-        if args.mechanism == "tda-l2":
-            rel = tda_l2(tree, config)
-        elif args.mechanism == "tda-linf-random":
-            config = ReleaseConfig(
-                budget=budget, sensitivity=sens, order="random", seed=args.seed
-            )
-            rel = release(tree, config, mechanism="tda-linf-random")
-        else:
-            rel = release(tree, config)
-        levels = {d: rel.tree.levels[d] for d in range(tree.depth + 1)}
-        meta = rel.metadata()
-        released_nodes = sum(len(v) for v in rel.tree.levels[1:])
-
-    write_release_csv(levels, args.out)
-    meta_path = _meta_path(args.out, args.meta)
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    write_release_csv(dict(enumerate(rel.tree.levels)), args.out)
+    meta_path = args.meta or sidecar_path(args.out, ".meta.json")
+    _write_json(meta_path, rel.metadata())
     print(
-        f"{args.mechanism}: released {released_nodes} values "
-        f"(rho={budget.rho:.6g}) -> {args.out}, {meta_path}"
+        f"{args.mechanism}: released {sum(len(v) for v in rel.tree.levels[1:])} values "
+        f"(rho={config.budget.rho:.6g}) -> {args.out}, {meta_path}"
     )
     return 0
 
@@ -232,7 +220,8 @@ def _released_levels_from_csv(
             f"release holds depth {max(stored)} but the dataset tree stops at {truth.depth}"
         )
     if meta is not None and "mechanism" in meta:
-        leaf_only = meta["mechanism"] in LEAF_MECHANISMS
+        entry = MECHANISMS.get(meta["mechanism"])
+        leaf_only = entry is not None and entry.leaf_only
     else:
         leaf_only = 0 not in stored  # tree releases always store the root row
     if leaf_only:
@@ -246,31 +235,26 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     stored = read_release_csv(args.release)
 
     meta: Optional[dict] = None
-    meta_path = args.meta or _meta_path(args.release, None)
+    meta_path = args.meta or sidecar_path(args.release, ".meta.json")
     if args.meta or os.path.exists(meta_path):
-        try:
-            with open(meta_path, encoding="utf-8") as fh:
-                meta = json.load(fh)
-        except OSError as exc:
-            raise DataError(f"cannot read {meta_path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{meta_path} is not valid JSON: {exc}") from None
+        meta = _read_json(meta_path)
+        if not isinstance(meta, dict) or not isinstance(meta.get("mechanism", ""), str):
+            raise DataError(f"{meta_path} is not a release sidecar object")
 
     mode = (meta or {}).get("tree", args.tree)
     truth = build_tree(table, mode)
     released = _released_levels_from_csv(stored, truth, meta)
 
     errors = max_abs_error_per_level(truth, released)
-    rows = []
-    for depth in range(truth.depth + 1):
-        rows.append(
-            {
-                "level": depth,
-                "max_abs_error": errors[depth],
-                "false_discovery_rate": false_discovery_rate(truth, released, depth),
-                "released_nodes": sum(1 for v in released[depth].values() if v > 0),
-            }
-        )
+    rows = [
+        {
+            "level": depth,
+            "max_abs_error": errors[depth],
+            "false_discovery_rate": false_discovery_rate(truth, released, depth),
+            "released_nodes": sum(1 for v in released[depth].values() if v > 0),
+        }
+        for depth in range(truth.depth + 1)
+    ]
 
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("level,max_abs_error,false_discovery_rate,released_nodes\n")
@@ -279,18 +263,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 f"{row['level']},{row['max_abs_error']},"
                 f"{row['false_discovery_rate']:.6f},{row['released_nodes']}\n"
             )
-    json_path = args.out[:-4] + ".json" if args.out.endswith(".csv") else args.out + ".json"
-    payload = {
+    json_path = sidecar_path(args.out, ".json")
+    _write_json(json_path, {
         "schema": "od-eval/1",
         "truth": args.truth,
         "release": args.release,
         "mechanism": (meta or {}).get("mechanism"),
         "tree": mode,
         "levels": rows,
-    }
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    })
     leaf_row = rows[-1]
     print(
         f"evaluated {args.release}: leaf max error {leaf_row['max_abs_error']}, "
@@ -301,7 +282,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _table_from_sweep_config(cfg: dict):
     if "data" in cfg:
-        return load_dataset(cfg["data"])
+        return load_dataset(_config_field(cfg, "data", _text()))
     if "synth" in cfg:
         s = _config_field(cfg, "synth", dict)
         seed = _config_field(s, "seed", int, 0)
@@ -313,42 +294,28 @@ def _table_from_sweep_config(cfg: dict):
             sparsity=_parse_sparsity(s.get("sparsity", 1.0)),
             exponent=_config_field(s, "exponent", float, 2.0),
         )
-        origin = gen_partition(spec, seed, "origin")
-        dest = gen_partition(spec, seed, "destination")
-        return gen_flows(origin, dest, spec, seed)
+        return gen_dataset(spec, seed)
     raise ConfigError("sweep config needs a 'data' path or a 'synth' block")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read {args.config}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{args.config} is not valid JSON: {exc}") from None
-
+    cfg = _read_json(args.config)
     if not isinstance(cfg, dict):
         raise ConfigError(f"{args.config} must hold a JSON object")
     table = _table_from_sweep_config(cfg)
-    mechanisms = cfg.get("mechanisms", list(MECHANISMS))
-    for mech in mechanisms:
-        if mech not in MECHANISMS:
-            raise ConfigError(f"unknown mechanism {mech!r}; pick from {MECHANISMS}")
-    order_flag = cfg.get("order", "asc")
-    if order_flag not in ORDER_FLAGS:
-        raise ConfigError(f"order must be one of {sorted(ORDER_FLAGS)}, got {order_flag!r}")
+    mechanisms = _config_field(cfg, "mechanisms", _list_of(_text(*MECHANISMS)), list(MECHANISMS))
+    order_flag = _config_field(cfg, "order", _text(*ORDER_FLAGS), "asc")
     sens = _configured(
         SensitivityModel,
         privacy=cfg.get("privacy", "bounded"),
         m=_config_field(cfg, "m", int, 1),
         distinct=bool(cfg.get("distinct", True)),
     )
-    epsilons = _config_field(cfg, "epsilons", _float_list, [1.0])
+    epsilons = _config_field(cfg, "epsilons", _list_of(float), [1.0])
     delta = _config_field(cfg, "delta", float, 1e-8)
     for eps in epsilons:
         _configured(PrivacyBudget.from_eps_delta, eps, delta)
-    out_dir = cfg.get("out_dir", ".")
+    out_dir = _config_field(cfg, "out_dir", _text(), ".")
     os.makedirs(out_dir, exist_ok=True)
 
     reports = run_experiment(
@@ -359,11 +326,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         repeats=_config_field(cfg, "repeats", int, 10),
         seed=_config_field(cfg, "seed", int, 0),
         order=ORDER_FLAGS[order_flag],
-        mode=cfg.get("tree", "destination"),
+        mode=_config_field(cfg, "tree", _text("destination", "origin"), "destination"),
         sens=sens,
         workers=_config_field(cfg, "workers", int, 1),
         universe_cap=_config_field(cfg, "universe_cap", int, UNIVERSE_CAP),
-        branching=cfg.get("branching"),
+        branching=_config_field(cfg, "branching", lambda v: v if v is None else int(v)),
         beta=_config_field(cfg, "beta", float, 0.01),
     )
     for report in reports:

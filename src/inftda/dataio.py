@@ -29,6 +29,7 @@ __all__ = [
     "load_dataset",
     "write_release_csv",
     "read_release_csv",
+    "sidecar_path",
 ]
 
 DATASET_FORMAT = "od-dataset/1"
@@ -101,6 +102,11 @@ def write_release_csv(levels: Dict[int, Dict[Key, int]], path: str) -> None:
                 value = level[(o, d)]
                 if value != 0 or depth == 0:
                     writer.writerow([depth, o, d, value])
+
+
+def sidecar_path(csv_path: str, suffix: str) -> str:
+    """The file next to ``csv_path`` named by ``suffix`` (e.g. ".meta.json")."""
+    return (csv_path[:-4] if csv_path.endswith(".csv") else csv_path) + suffix
 
 
 def read_release_csv(path: str) -> Dict[int, Dict[Key, int]]:

@@ -151,11 +151,6 @@ class SensitivityModel:
         base = self.m if self.distinct else self.m * self.m
         return 2 * base if self.privacy == "bounded" else base
 
-    @property
-    def gs1(self) -> int:
-        """L1 sensitivity of the per-pair count vector."""
-        return 2 * self.m if self.privacy == "bounded" else self.m
-
 
 def per_level_sigma2(budget: PrivacyBudget, sens: SensitivityModel, depth: int) -> float:
     """Per-level discrete Gaussian variance for a depth-``depth`` top-down release.

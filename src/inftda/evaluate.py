@@ -1,4 +1,7 @@
-"""Per-level accuracy metrics and the benchmark harness.
+"""The mechanism table, per-level accuracy metrics and the benchmark harness.
+
+``MECHANISMS`` is the one place a mechanism is defined; the CLI and the harness
+run every mechanism through ``run_release``, which returns a ``DPRelease``.
 
 Mechanisms are compared level by level on two quantities: the maximum absolute
 error over the union of true and released supports (keys absent from both read
@@ -17,9 +20,9 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .baselines import (
     UNIVERSE_CAP,
@@ -28,10 +31,11 @@ from .baselines import (
     tda_l2,
     vanilla_gauss,
 )
+from .dataio import sidecar_path
 from .dpcore import PrivacyBudget, SensitivityModel, derive_seed
 from .errors import ConfigError
 from .hierarchy import HierTree, Key, TripTable, build_tree
-from .topdown import ReleaseConfig, release, theoretical_error_envelope
+from .topdown import DPRelease, ReleaseConfig, release, theoretical_error_envelope
 
 __all__ = [
     "MECHANISMS",
@@ -39,14 +43,78 @@ __all__ = [
     "EvalReport",
     "max_abs_error_per_level",
     "false_discovery_rate",
+    "run_release",
     "run_mechanism",
     "run_experiment",
     "write_report",
 ]
 
-MECHANISMS = ("inftda", "tda-l2", "tda-linf-random", "vanilla-gauss", "sh")
 
-LEAF_MECHANISMS = ("vanilla-gauss", "sh")
+# ---------------------------------------------------------------------------
+# the mechanism table
+
+
+@dataclass(frozen=True)
+class Mechanism:
+    """``run(table, tree, config, universe_cap)`` gives a DPRelease, or the leaf
+    map of a ``leaf_only`` mechanism (which never reads ``tree``); ``order`` is
+    the visit order the mechanism forces, if any."""
+
+    run: Callable
+    leaf_only: bool = False
+    order: Optional[str] = None
+
+
+# Entries call each mechanism by its module-level name when they run, never
+# through a function object stored here, so a rebound name (a tracer, a test
+# double) sees every call.
+MECHANISMS: Dict[str, Mechanism] = {
+    "inftda": Mechanism(lambda table, tree, cfg, cap: release(tree, cfg)),
+    "tda-l2": Mechanism(lambda table, tree, cfg, cap: tda_l2(tree, cfg)),
+    "tda-linf-random": Mechanism(
+        lambda table, tree, cfg, cap: release(tree, cfg, mechanism="tda-linf-random"),
+        order="random",
+    ),
+    "vanilla-gauss": Mechanism(
+        lambda table, tree, cfg, cap: vanilla_gauss(
+            table, cfg.budget, cfg.sensitivity, cfg.seed, cap),
+        leaf_only=True,
+    ),
+    "sh": Mechanism(
+        lambda table, tree, cfg, cap: stability_histogram(
+            table, cfg.budget, cfg.sensitivity, cfg.seed),
+        leaf_only=True,
+    ),
+}
+
+
+def run_release(
+    name: str,
+    table: TripTable,
+    mode: str,
+    tree: Optional[HierTree],
+    config: ReleaseConfig,
+    universe_cap: int = UNIVERSE_CAP,
+) -> DPRelease:
+    """Run mechanism ``name`` once on the true ``tree`` (in ``mode``).
+
+    ``tree`` may be None for a leaf-only mechanism. Its leaf map comes back,
+    not rolled up, as a release holding the leaf depth alone.
+    """
+    if name not in MECHANISMS:
+        raise ConfigError(f"unknown mechanism {name!r}; pick one of {tuple(MECHANISMS)}")
+    entry = MECHANISMS[name]
+    if entry.order is not None:
+        config = replace(config, order=entry.order)
+    start = time.perf_counter()
+    out = entry.run(table, tree, config, universe_cap)
+    if not entry.leaf_only:
+        return out
+    wall_ms = (time.perf_counter() - start) * 1000.0
+    depth = 2 * table.origin.levels
+    levels: List[Dict[Key, int]] = [{} for _ in range(depth)] + [out]
+    per_level = [{"depth": depth, "node_count": len(out), "wall_ms": wall_ms}]
+    return DPRelease(HierTree(mode, table.origin, table.dest, levels), config, name, per_level)
 
 
 # ---------------------------------------------------------------------------
@@ -102,37 +170,23 @@ def run_mechanism(
     seed: int,
     universe_cap: int = UNIVERSE_CAP,
 ):
-    """Run one mechanism once; returns (per-depth released maps, wall_ms)."""
-    if mechanism not in MECHANISMS:
-        raise ConfigError(f"unknown mechanism {mechanism!r}; pick one of {MECHANISMS}")
+    """Run one mechanism once; returns (per-depth released maps, wall_ms).
+
+    Leaf-only output is rolled up into every depth after the clock stops.
+    """
+    config = ReleaseConfig(budget=budget, sensitivity=sens, order=order, seed=seed)
     start = time.perf_counter()
-    if mechanism in LEAF_MECHANISMS:
-        if mechanism == "vanilla-gauss":
-            leaf = vanilla_gauss(table, budget, sens, seed, universe_cap)
-        else:
-            leaf = stability_histogram(table, budget, sens, seed)
-        wall_ms = (time.perf_counter() - start) * 1000.0
-        levels = aggregate_up(leaf.values, table.origin, table.dest, tree.mode)
-        return levels, wall_ms
-    if mechanism == "tda-linf-random":
-        config = ReleaseConfig(budget=budget, sensitivity=sens, order="random", seed=seed)
-        rel = release(tree, config, mechanism=mechanism)
-    elif mechanism == "tda-l2":
-        config = ReleaseConfig(budget=budget, sensitivity=sens, order=order, seed=seed)
-        rel = tda_l2(tree, config)
-    else:
-        config = ReleaseConfig(budget=budget, sensitivity=sens, order=order, seed=seed)
-        rel = release(tree, config)
+    rel = run_release(mechanism, table, tree.mode, tree, config, universe_cap)
     wall_ms = (time.perf_counter() - start) * 1000.0
+    if MECHANISMS[mechanism].leaf_only:
+        return aggregate_up(rel.tree.levels[-1], table.origin, table.dest, tree.mode), wall_ms
     return rel.tree.levels, wall_ms
 
 
 def _repeat_cell(args):
-    # module-level so a process pool can pickle it
-    (mechanism, table, tree, budget, sens, order, seed, universe_cap) = args
-    levels, wall_ms = run_mechanism(
-        mechanism, table, tree, budget, sens, order, seed, universe_cap
-    )
+    # module-level so a process pool can pickle it; args are run_mechanism's
+    tree = args[2]
+    levels, wall_ms = run_mechanism(*args)
     errors = max_abs_error_per_level(tree, levels)
     fdrs = [false_discovery_rate(tree, levels, depth) for depth in range(tree.depth + 1)]
     nodes = _positive_node_counts(levels, tree.depth)
@@ -155,6 +209,11 @@ class LevelStats:
     nodes_min: int
     nodes_mean: float
     nodes_max: int
+
+
+def _spread(values: list) -> tuple:
+    """(min, mean, max) of one statistic over the repeats."""
+    return min(values), sum(values) / len(values), max(values)
 
 
 CSV_HEADER = (
@@ -210,9 +269,7 @@ class EvalReport:
 def write_report(report: EvalReport, csv_path: str, json_path: Optional[str] = None) -> None:
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(report.csv_text())
-    if json_path is None:
-        json_path = csv_path[:-4] + ".json" if csv_path.endswith(".csv") else csv_path + ".json"
-    with open(json_path, "w", encoding="utf-8") as fh:
+    with open(json_path or sidecar_path(csv_path, ".json"), "w", encoding="utf-8") as fh:
         json.dump(report.json_dict(), fh, indent=2, sort_keys=False)
         fh.write("\n")
 
@@ -247,6 +304,10 @@ def run_experiment(
         raise ConfigError("repeats must be >= 1")
     if workers < 1:
         raise ConfigError("workers must be >= 1")
+    if branching is not None and (branching < 2 or not 0.0 < beta < 1.0):
+        raise ConfigError(
+            f"the envelope needs branching >= 2 and beta in (0, 1), got {branching}, {beta}"
+        )
     tree = build_tree(table, mode)
     repeat_seeds = [derive_seed(seed, "repeat", r) for r in range(repeats)]
     reports: List[EvalReport] = []
@@ -262,27 +323,15 @@ def run_experiment(
             else:
                 with ProcessPoolExecutor(max_workers=min(workers, repeats)) as pool:
                     outcomes = list(pool.map(_repeat_cell, tasks))
-            levels: List[LevelStats] = []
-            for depth in range(tree.depth + 1):
-                errs = [o[0][depth] for o in outcomes]
-                fdrs = [o[1][depth] for o in outcomes]
-                nodes = [o[2][depth] for o in outcomes]
-                levels.append(
-                    LevelStats(
-                        level=depth,
-                        err_min=min(errs),
-                        err_mean=sum(errs) / repeats,
-                        err_max=max(errs),
-                        fdr_min=min(fdrs),
-                        fdr_mean=sum(fdrs) / repeats,
-                        fdr_max=max(fdrs),
-                        nodes_min=min(nodes),
-                        nodes_mean=sum(nodes) / repeats,
-                        nodes_max=max(nodes),
-                    )
-                )
+            levels = [
+                LevelStats(depth, *_spread([o[0][depth] for o in outcomes]),
+                           *_spread([o[1][depth] for o in outcomes]),
+                           *_spread([o[2][depth] for o in outcomes]))
+                for depth in range(tree.depth + 1)
+            ]
             envelope = None
-            if branching is not None and mechanism not in LEAF_MECHANISMS:
+            entry = MECHANISMS[mechanism]
+            if branching is not None and not entry.leaf_only:
                 envelope = [
                     theoretical_error_envelope(d, branching, tree.depth, budget, sens, beta)
                     for d in range(tree.depth + 1)
@@ -293,7 +342,7 @@ def run_experiment(
                     rho=budget.rho,
                     epsilon=budget.epsilon,
                     delta=budget.delta,
-                    order="random" if mechanism == "tda-linf-random" else order,
+                    order=entry.order or order,
                     seed=seed,
                     repeats=repeats,
                     tree_mode=mode,

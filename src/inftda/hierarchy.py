@@ -200,13 +200,9 @@ def ingest_trips(
     """Aggregate raw trip rows (origin, destination[, count]) into a TripTable.
 
     A missing count column means 1. Duplicate pairs accumulate. Unknown leaf
-    ids and non-positive counts are rejected.
+    ids and non-positive counts are rejected, and so (by TripTable) are
+    hierarchies of unequal depth.
     """
-    if origin.levels != dest.levels:
-        raise DataError(
-            f"origin and destination hierarchies must share depth: "
-            f"{origin.levels} vs {dest.levels}"
-        )
     o_leaves = set(origin.leaves)
     d_leaves = set(dest.leaves)
     counts: Dict[Key, int] = {}
@@ -277,17 +273,9 @@ class HierTree:
             return depth // 2, (depth + 1) // 2
         return (depth + 1) // 2, depth // 2
 
-    def attribute(self, origin_area: str, dest_area: str, depth: int) -> int:
-        self._check_depth(depth)
-        return self.levels[depth].get((origin_area, dest_area), 0)
-
     def level_map(self, depth: int) -> Dict[Key, int]:
         self._check_depth(depth)
         return self.levels[depth]
-
-    def node_count(self, depth: int) -> int:
-        self._check_depth(depth)
-        return len(self.levels[depth])
 
     def child_keys(self, key: Key, depth: int) -> Tuple[Key, ...]:
         """Full child universe of a node, from the hierarchies (not the data)."""
@@ -323,26 +311,15 @@ class HierTree:
         level finer in destination mode, origin one level finer in origin
         mode). The mirrored tree serves the opposite direction.
         """
-        if self.mode == "destination":
-            if dest_level == origin_level:
-                depth = 2 * origin_level
-            elif dest_level == origin_level + 1:
-                depth = 2 * origin_level + 1
-            else:
-                raise DataError(
-                    f"unsupported level pair ({origin_level}, {dest_level}) for a "
-                    f"destination-mode tree; reconstruct from leaf sums instead"
-                )
-        else:
-            if origin_level == dest_level:
-                depth = 2 * dest_level
-            elif origin_level == dest_level + 1:
-                depth = 2 * dest_level + 1
-            else:
-                raise DataError(
-                    f"unsupported level pair ({origin_level}, {dest_level}) for an "
-                    f"origin-mode tree; reconstruct from leaf sums instead"
-                )
+        own, other = (
+            (dest_level, origin_level) if self.mode == "destination" else (origin_level, dest_level)
+        )
+        if own - other not in (0, 1):
+            raise DataError(
+                f"unsupported level pair ({origin_level}, {dest_level}) in {self.mode} mode; "
+                f"reconstruct from leaf sums instead"
+            )
+        depth = own + other
         if depth > self.depth:
             raise DataError(f"level pair ({origin_level}, {dest_level}) beyond the leaves")
         if not self.origin.contains(origin_level, origin_area):

@@ -23,7 +23,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .dpcore import (
     RATIONAL_LIMIT,
@@ -41,7 +41,6 @@ __all__ = [
     "ReleaseConfig",
     "DPRelease",
     "release",
-    "export_table",
     "theoretical_error_envelope",
 ]
 
@@ -68,7 +67,8 @@ class DPRelease:
     """A released tree plus the configuration and bookkeeping that produced it.
 
     The root attribute is always materialized (it may be 0); depths >= 1 store
-    positive attributes only.
+    positive attributes only. A leaf-only mechanism's release stores the leaf
+    depth alone: no root row, one ``per_level`` row, and no visit order.
     """
 
     tree: HierTree
@@ -85,7 +85,7 @@ class DPRelease:
             "epsilon": self.config.budget.epsilon,
             "delta": self.config.budget.delta,
             "sensitivity": {"type": sens.privacy, "m": sens.m, "distinct": sens.distinct},
-            "order": self.config.order,
+            "order": self.config.order if self.tree.levels[0] else None,
             "seed": self.config.seed,
             "depth": self.tree.depth,
             "tree": self.tree.mode,
@@ -149,27 +149,11 @@ def release(
                 if value > 0:
                     current[child] = int(value)
         levels[depth] = current
-        per_level.append(
-            {
-                "depth": depth,
-                "node_count": len(current),
-                "wall_ms": (time.perf_counter() - start) * 1000.0,
-            }
-        )
+        wall_ms = (time.perf_counter() - start) * 1000.0
+        per_level.append({"depth": depth, "node_count": len(current), "wall_ms": wall_ms})
 
     released = HierTree(tree.mode, tree.origin, tree.dest, levels)
     return DPRelease(tree=released, config=config, mechanism=mechanism, per_level=per_level)
-
-
-def export_table(source, level) -> List[Tuple[str, str, int]]:
-    """Stored rows (origin, destination, value) at one depth, sorted.
-
-    ``source`` is a DPRelease or a HierTree; ``level`` is a depth or the
-    string "leaves".
-    """
-    tree = source.tree if isinstance(source, DPRelease) else source
-    depth = tree.depth if level == "leaves" else int(level)
-    return sorted((o, d, v) for (o, d), v in tree.level_map(depth).items())
 
 
 def theoretical_error_envelope(

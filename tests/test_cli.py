@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from inftda import cli, evaluate
 from inftda.cli import main
 
 
@@ -215,3 +216,52 @@ class TestExitCodes:
         config = tmp_path / "broken.json"
         config.write_text("{not json")
         assert run("sweep", "--config", str(config)) == 3
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"order": ["asc"]},
+            {"out_dir": 5},
+            {"branching": "x"},
+            {"branching": 1},
+            {"beta": 2, "branching": 2},
+            {"tree": "sideways"},
+            {"mechanisms": "inftda"},
+        ],
+        ids=["order-list", "out-dir-number", "branching-word", "branching-1", "beta-2",
+             "tree-sideways", "mechanisms-string"],
+    )
+    def test_malformed_sweep_config_is_4_before_any_release(
+        self, dataset, tmp_path, monkeypatch, capsys, bad
+    ):
+        released = []
+        monkeypatch.setattr(evaluate, "run_mechanism", lambda *args: released.append(args))
+        cfg = {"data": str(dataset), "mechanisms": ["inftda"], "repeats": 2,
+               "out_dir": str(tmp_path), **bad}
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(cfg))
+        assert run("sweep", "--config", str(config)) == 4
+        assert released == []
+        assert next(iter(bad)) in capsys.readouterr().err
+
+    def test_sweep_data_that_is_not_a_path_is_4_before_any_open(self, tmp_path, monkeypatch):
+        loaded = []
+        monkeypatch.setattr(cli, "load_dataset", loaded.append)
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"data": 5, "mechanisms": ["inftda"], "repeats": 1,
+                                      "out_dir": str(tmp_path)}))
+        assert run("sweep", "--config", str(config)) == 4
+        assert loaded == []
+
+    @pytest.mark.parametrize(
+        "sidecar",
+        ["[1]", '"x"', '{"mechanism": ["sh"], "tree": "destination"}', '{"mechanism": 5}'],
+        ids=["list", "string", "mechanism-list", "mechanism-number"],
+    )
+    def test_malformed_release_sidecar_is_3(self, dataset, tmp_path, sidecar):
+        rel = tmp_path / "rel.csv"
+        assert run("release", "--data", str(dataset), "--mechanism", "inftda",
+                   "--rho", "1", "--out", str(rel)) == 0
+        (tmp_path / "rel.meta.json").write_text(sidecar)
+        assert run("evaluate", "--truth", str(dataset), "--release", str(rel),
+                   "--out", str(tmp_path / "report.csv")) == 3

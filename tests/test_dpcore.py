@@ -101,11 +101,6 @@ class TestSensitivityModel:
         assert SensitivityModel("bounded", m, False).gs2_squared == 2 * m * m
         assert SensitivityModel("unbounded", m, False).gs2_squared == m * m
 
-    @pytest.mark.parametrize("m", [1, 3])
-    def test_gs1(self, m):
-        assert SensitivityModel("bounded", m).gs1 == 2 * m
-        assert SensitivityModel("unbounded", m).gs1 == m
-
     def test_invalid_model_rejected(self):
         with pytest.raises(ValueError):
             SensitivityModel("open", 1)

@@ -5,10 +5,12 @@ import json
 import pytest
 
 from inftda import (
+    MECHANISMS,
     ConfigError,
     EvalReport,
     LevelStats,
     PrivacyBudget,
+    ReleaseConfig,
     SensitivityModel,
     SynthSpec,
     build_tree,
@@ -19,6 +21,7 @@ from inftda import (
     run_mechanism,
     write_report,
 )
+from inftda.evaluate import run_release
 
 
 class TestMetrics:
@@ -81,6 +84,24 @@ class TestRunMechanism:
         table, tree, budget = mech_setup
         with pytest.raises(ConfigError, match="unknown mechanism"):
             run_mechanism("dp-magic", table, tree, budget, SensitivityModel(), "ascending", 0)
+
+    @pytest.mark.parametrize("mechanism", list(MECHANISMS))
+    def test_every_mechanism_returns_one_release_type(self, mech_setup, mechanism):
+        table, tree, budget = mech_setup
+        leaf_only = MECHANISMS[mechanism].leaf_only
+        truth = None if leaf_only else build_tree(table, "origin")
+        config = ReleaseConfig(budget=budget, order="descending", seed=3)
+        rel = run_release(mechanism, table, "origin", truth, config)
+        meta = rel.metadata()
+        assert meta["mechanism"] == mechanism and meta["tree"] == "origin"
+        if leaf_only:
+            # the leaf depth alone, not rolled up, and no visit order
+            assert [bool(level) for level in rel.tree.levels] == [False] * tree.depth + [True]
+            assert [row["depth"] for row in rel.per_level] == [tree.depth]
+            assert meta["order"] is None
+        else:
+            assert [row["depth"] for row in rel.per_level] == list(range(tree.depth + 1))
+            assert meta["order"] == (MECHANISMS[mechanism].order or "descending")
 
 
 class TestReports:

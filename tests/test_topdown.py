@@ -10,7 +10,6 @@ from inftda import (
     ReleaseConfig,
     SensitivityModel,
     build_tree,
-    export_table,
     release,
     theoretical_error_envelope,
     validate_consistency,
@@ -84,7 +83,7 @@ class TestRelease:
         rel = release(build_tree(trip_table), ReleaseConfig(budget=budget, seed=0))
         assert [row["depth"] for row in rel.per_level] == list(range(5))
         for row in rel.per_level:
-            assert row["node_count"] == rel.tree.node_count(row["depth"])
+            assert row["node_count"] == len(rel.tree.levels[row["depth"]])
             assert row["wall_ms"] >= 0
 
     def test_metadata_schema(self, trip_table, budget):
@@ -102,16 +101,6 @@ class TestRelease:
     def test_invalid_order_rejected(self, budget):
         with pytest.raises(ConfigError, match="order"):
             ReleaseConfig(budget=budget, order="sideways")
-
-
-class TestExportTable:
-    def test_release_and_tree_leaves(self, trip_table, budget):
-        tree = build_tree(trip_table)
-        rows = export_table(tree, "leaves")
-        assert rows == sorted((o, d, v) for (o, d), v in trip_table.counts.items())
-        rel = release(tree, ReleaseConfig(budget=PrivacyBudget.from_rho(1e6), seed=0))
-        assert export_table(rel, "leaves") == rows
-        assert export_table(rel, 0) == [("__all__", "__all__", 11)]
 
 
 class TestEnvelope:
