@@ -16,11 +16,11 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from .dpcore import (
-    RATIONAL_LIMIT,
     PrivacyBudget,
     SensitivityModel,
     sample_discrete_gaussian,
     sample_discrete_laplace,
+    snap_parameter,
     stability_threshold,
     substream,
 )
@@ -58,7 +58,7 @@ def vanilla_gauss(
             f"universe has {universe} cells, above the cap {universe_cap}; "
             f"this mechanism materializes every cell"
         )
-    sigma2 = Fraction(sens.gs2_squared) / (2 * Fraction(budget.rho).limit_denominator(RATIONAL_LIMIT))
+    sigma2 = Fraction(sens.gs2_squared) / (2 * snap_parameter(budget.rho, "rho", budget))
     noise = sample_discrete_gaussian(sigma2, substream(seed, "vanilla-gauss"), size=universe)
     cells = ((o, d) for o in table.origin.leaves for d in table.dest.leaves)
     counts = table.counts
@@ -84,7 +84,7 @@ def stability_histogram(
     if sens.privacy != "bounded" or sens.m != 1:
         raise ConfigError("stability histogram is calibrated for bounded privacy with m=1")
     threshold = stability_threshold(budget.epsilon, budget.delta)
-    scale = Fraction(2) / Fraction(budget.epsilon).limit_denominator(RATIONAL_LIMIT)
+    scale = Fraction(2) / snap_parameter(budget.epsilon, "epsilon", budget)
     keys = sorted(table.counts)
     noise = sample_discrete_laplace(scale, substream(seed, "stability-histogram"), size=len(keys))
     values: Dict[Key, int] = {}

@@ -90,6 +90,19 @@ def _text(*choices: str):
     return convert
 
 
+def _integer(value) -> int:
+    # JSON true/false are bools, which Python also counts as ints
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("expected a JSON integer")
+    return value
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError("expected a JSON boolean")
+    return value
+
+
 def _list_of(convert):
     def convert_all(values) -> list:
         if not isinstance(values, list):
@@ -285,12 +298,12 @@ def _table_from_sweep_config(cfg: dict):
         return load_dataset(_config_field(cfg, "data", _text()))
     if "synth" in cfg:
         s = _config_field(cfg, "synth", dict)
-        seed = _config_field(s, "seed", int, 0)
+        seed = _config_field(s, "seed", _integer, 0)
         spec = SynthSpec(
             kind=s.get("kind", "binary"),
-            levels=_config_field(s, "levels", int, 0),
-            k_min=_config_field(s, "k_min", int, 2),
-            k_max=_config_field(s, "k_max", int, 10),
+            levels=_config_field(s, "levels", _integer, 0),
+            k_min=_config_field(s, "k_min", _integer, 2),
+            k_max=_config_field(s, "k_max", _integer, 10),
             sparsity=_parse_sparsity(s.get("sparsity", 1.0)),
             exponent=_config_field(s, "exponent", float, 2.0),
         )
@@ -308,8 +321,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     sens = _configured(
         SensitivityModel,
         privacy=cfg.get("privacy", "bounded"),
-        m=_config_field(cfg, "m", int, 1),
-        distinct=bool(cfg.get("distinct", True)),
+        m=_config_field(cfg, "m", _integer, 1),
+        distinct=_config_field(cfg, "distinct", _boolean, True),
     )
     epsilons = _config_field(cfg, "epsilons", _list_of(float), [1.0])
     delta = _config_field(cfg, "delta", float, 1e-8)
@@ -323,14 +336,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         mechanisms=mechanisms,
         epsilons=epsilons,
         delta=delta,
-        repeats=_config_field(cfg, "repeats", int, 10),
-        seed=_config_field(cfg, "seed", int, 0),
+        repeats=_config_field(cfg, "repeats", _integer, 10),
+        seed=_config_field(cfg, "seed", _integer, 0),
         order=ORDER_FLAGS[order_flag],
         mode=_config_field(cfg, "tree", _text("destination", "origin"), "destination"),
         sens=sens,
-        workers=_config_field(cfg, "workers", int, 1),
-        universe_cap=_config_field(cfg, "universe_cap", int, UNIVERSE_CAP),
-        branching=_config_field(cfg, "branching", lambda v: v if v is None else int(v)),
+        workers=_config_field(cfg, "workers", _integer, 1),
+        universe_cap=_config_field(cfg, "universe_cap", _integer, UNIVERSE_CAP),
+        branching=_config_field(cfg, "branching", lambda v: v if v is None else _integer(v)),
         beta=_config_field(cfg, "beta", float, 0.01),
     )
     for report in reports:

@@ -31,6 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Union
 
+from .errors import ConfigError
+
 __all__ = [
     "PrivacyBudget",
     "SensitivityModel",
@@ -42,6 +44,7 @@ __all__ = [
     "sample_discrete_laplace",
     "substream",
     "derive_seed",
+    "snap_parameter",
 ]
 
 # Float parameters are snapped to rationals before exact sampling. At this
@@ -162,6 +165,28 @@ def per_level_sigma2(budget: PrivacyBudget, sens: SensitivityModel, depth: int) 
     if depth < 1:
         raise ValueError("depth must be >= 1")
     return sens.gs2_squared * depth / (2.0 * budget.rho)
+
+
+def snap_parameter(value: float, what: str, budget: PrivacyBudget) -> Fraction:
+    """``value`` as the rational the exact samplers use: the nearest one with a
+    denominator of at most ``RATIONAL_LIMIT``.
+
+    A budget extreme enough that this is not a finite positive rational (an
+    infinite variance, or one that snaps to 0) is a ConfigError naming it.
+    """
+    try:
+        snapped = Fraction(value).limit_denominator(RATIONAL_LIMIT)
+    except (OverflowError, ValueError):
+        snapped = Fraction(0)
+    if snapped <= 0:
+        named = f"rho={budget.rho!r}"
+        if budget.epsilon is not None:
+            named += f" (epsilon={budget.epsilon!r}, delta={budget.delta!r})"
+        raise ConfigError(
+            f"the budget {named} gives {what} = {value!r}, which is not a finite positive "
+            f"rational with denominator <= {RATIONAL_LIMIT}; use a less extreme budget"
+        )
+    return snapped
 
 
 def stability_threshold(eps: float, delta: float) -> float:

@@ -15,22 +15,38 @@ variance T/rho (clamped at zero), adding m^2 * rho / (2T) on top.
 
 Noise is drawn from per-parent substreams keyed by (seed, depth, node key), so
 a release is bit-reproducible no matter how the per-parent work is scheduled.
+
+Once a node's released total is fixed, its subtree depends on nothing else,
+so the release splits into independent jobs. With W usable CPUs (the process's
+CPU affinity), it expands serially from the root to the first depth whose
+released frontier holds at least W nodes, deals that frontier into W groups of
+near-equal released total, and forks W-1 workers; each expands one group to
+the leaves and pipes its per-depth maps back, while this process expands the
+lightest group and then merges the others in. The output is identical for
+every W; only dict insertion order within a level differs, and nothing reads
+it (writers and digests sort). After the split, a depth's ``wall_ms`` is its
+time summed over all processes. The release stays serial when W is 1, when
+``os.fork`` is missing, when another thread is alive, or when the true tree
+has fewer than ``PARALLEL_MIN_NODES`` nodes.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import threading
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .dpcore import (
-    RATIONAL_LIMIT,
     PrivacyBudget,
     SensitivityModel,
     per_level_sigma2,
     sample_discrete_gaussian,
+    snap_parameter,
     substream,
 )
 from .errors import ConfigError
@@ -97,6 +113,117 @@ def _chebyshev_solver(noisy: Sequence[int], total: int, order: str, rng) -> Sequ
     return intopt_fast(noisy, total, order, rng).values
 
 
+# Fewest true tree nodes (all depths) for which the split runs. Measured on a
+# 2-vCPU VM, Python 3.11, in an 84 MB process: a bare fork, exit and reap
+# costs 1.0 ms; serial release costs 2.6-3.6 us per true node; two workers
+# lose at 511 nodes (1.8 ms serial, 2.3 ms split), break even near 1,300
+# (random 2-level tree, 1,325 nodes: 3.8 ms either way) and win 1.3x at 2,047
+# (complete binary, 5 levels per side) and 1.9x at 131,071.
+PARALLEL_MIN_NODES = 2_000
+
+
+def _usable_cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _can_fork() -> bool:
+    # forking a process with other threads alive can deadlock the child
+    return hasattr(os, "fork") and threading.active_count() == 1
+
+
+def _balanced_groups(frontier: Dict[Key, int], count: int) -> List[Dict[Key, int]]:
+    """Split ``frontier`` into ``count`` groups of near-equal released total,
+    lightest first: each node, largest total first, joins the lightest group.
+    Only released values are read, so this is post-processing."""
+    groups: List[Dict[Key, int]] = [{} for _ in range(count)]
+    loads = [0] * count
+    for key in sorted(frontier, key=lambda k: (-frontier[k], k)):
+        lightest = loads.index(min(loads))
+        groups[lightest][key] = frontier[key]
+        loads[lightest] += frontier[key]
+    return [groups[i] for i in sorted(range(count), key=loads.__getitem__)]
+
+
+def _fork_worker(work: Callable, arg) -> Tuple[int, int]:
+    """Run ``work(arg)`` in a forked child; return (pid, read end of its result pipe).
+
+    The child pickles ``(True, result)`` or ``(False, exception)`` into the pipe
+    and leaves with ``os._exit``: no atexit handlers, no inherited stdio flush.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    status = 1
+    try:
+        os.close(read_fd)
+        try:
+            outcome = (True, work(arg))
+        except BaseException as exc:  # noqa: BLE001 - every failure goes to the parent
+            outcome = (False, exc)
+        try:
+            payload = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+        except Exception:  # noqa: BLE001 - an exception that does not pickle
+            error = RuntimeError(f"release worker failed with {outcome[1]!r}")
+            payload = pickle.dumps((False, error))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _collect(pid: int, read_fd: int):
+    """The result the worker ``pid`` sent; reaps it and closes ``read_fd``."""
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            payload = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    try:
+        ok, value = pickle.loads(payload)
+    except (EOFError, pickle.UnpicklingError):
+        raise RuntimeError(
+            f"release worker {pid} exited with status "
+            f"{os.waitstatus_to_exitcode(status)} without a result"
+        ) from None
+    if not ok:
+        raise value
+    return value
+
+
+def _run_split(groups: List[Dict[Key, int]], descend: Callable, merge: Callable) -> None:
+    """``merge(descend(group))`` for every group: the first in this process,
+    the others in one forked worker each (or here, if the fork fails, say for
+    a process limit). Every worker is reaped on every path.
+    """
+    workers: List[Tuple[int, int]] = []
+    local = groups[:1]
+    try:
+        for group in groups[1:]:
+            try:
+                workers.append(_fork_worker(descend, group))
+            except OSError:
+                local.append(group)
+        for group in local:
+            merge(descend(group))
+        while workers:
+            pid, read_fd = workers.pop(0)
+            merge(_collect(pid, read_fd))
+    finally:
+        for pid, read_fd in workers:
+            os.close(read_fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def release(
     tree: HierTree,
     config: ReleaseConfig,
@@ -111,31 +238,30 @@ def release(
     solver = _solver or _chebyshev_solver
     depth_total = tree.depth
     sens = config.sensitivity
-    sigma2 = Fraction(per_level_sigma2(config.budget, sens, depth_total)).limit_denominator(
-        RATIONAL_LIMIT
+    sigma2 = snap_parameter(
+        per_level_sigma2(config.budget, sens, depth_total), "the per-level sigma2", config.budget
     )
 
-    per_level: List[Dict[str, object]] = []
     levels: List[Dict[Key, int]] = [dict() for _ in range(depth_total + 1)]
+    wall_ms = [0.0] * (depth_total + 1)
     root_key = (ROOT_AREA, ROOT_AREA)
 
     start = time.perf_counter()
     if sens.privacy == "unbounded":
-        root_sigma2 = Fraction(depth_total / config.budget.rho).limit_denominator(RATIONAL_LIMIT)
+        root_sigma2 = snap_parameter(
+            depth_total / config.budget.rho, "the root sigma2", config.budget
+        )
         noise = sample_discrete_gaussian(root_sigma2, substream(config.seed, "root"))
         root_value = max(0, tree.n + noise)
     else:
         root_value = tree.n
     levels[0][root_key] = root_value
-    per_level.append(
-        {"depth": 0, "node_count": 1, "wall_ms": (time.perf_counter() - start) * 1000.0}
-    )
+    wall_ms[0] = (time.perf_counter() - start) * 1000.0
 
-    for depth in range(1, depth_total + 1):
-        start = time.perf_counter()
+    def expand(parents: Dict[Key, int], depth: int) -> Dict[Key, int]:
+        """The released children at ``depth`` of the positive ``parents``."""
         true_map = tree.level_map(depth)
         current: Dict[Key, int] = {}
-        parents = levels[depth - 1]
         for parent_key in sorted(parents):
             total = parents[parent_key]
             if total <= 0:
@@ -148,10 +274,39 @@ def release(
             for child, value in zip(children, values):
                 if value > 0:
                     current[child] = int(value)
-        levels[depth] = current
-        wall_ms = (time.perf_counter() - start) * 1000.0
-        per_level.append({"depth": depth, "node_count": len(current), "wall_ms": wall_ms})
+        return current
 
+    workers = _usable_cpus()
+    split = workers > 1 and sum(map(len, tree.levels)) >= PARALLEL_MIN_NODES and _can_fork()
+    depth = 1
+    while depth <= depth_total and not (split and len(levels[depth - 1]) >= workers):
+        start = time.perf_counter()
+        levels[depth] = expand(levels[depth - 1], depth)
+        wall_ms[depth] = (time.perf_counter() - start) * 1000.0
+        depth += 1
+    first = depth
+
+    def descend(parents: Dict[Key, int]) -> List[Tuple[Dict[Key, int], float]]:
+        # (released level, ms) for each depth from ``first`` to the leaves
+        out = []
+        for depth in range(first, depth_total + 1):
+            start = time.perf_counter()
+            parents = expand(parents, depth)
+            out.append((parents, (time.perf_counter() - start) * 1000.0))
+        return out
+
+    def merge(share: List[Tuple[Dict[Key, int], float]]) -> None:
+        for depth, (level, ms) in enumerate(share, start=first):
+            levels[depth].update(level)
+            wall_ms[depth] += ms
+
+    if first <= depth_total:
+        _run_split(_balanced_groups(levels[first - 1], workers), descend, merge)
+
+    per_level = [
+        {"depth": depth, "node_count": len(levels[depth]), "wall_ms": wall_ms[depth]}
+        for depth in range(depth_total + 1)
+    ]
     released = HierTree(tree.mode, tree.origin, tree.dest, levels)
     return DPRelease(tree=released, config=config, mechanism=mechanism, per_level=per_level)
 

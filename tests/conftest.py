@@ -1,4 +1,7 @@
-"""Shared toy fixtures: a 2-level hierarchy pair and a small trip table."""
+"""Shared toy fixtures (a 2-level hierarchy pair and a small trip table), and
+a check after every test that it left no child process behind."""
+
+import os
 
 import pytest
 
@@ -37,3 +40,16 @@ def dest_hier():
 @pytest.fixture(scope="session")
 def trip_table(origin_hier, dest_hier):
     return ingest_trips(TRIP_ROWS, origin_hier, dest_hier)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail any test that leaves a child process running or unreaped."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    if pid:
+        pytest.fail(f"test left child process {pid} unreaped (wait status {status})")
+    pytest.fail("test left a child process running")

@@ -51,6 +51,11 @@ class TestVanillaGauss:
         assert positive == trip_table.counts
 
 
+    def test_budget_that_snaps_rho_to_zero_is_a_config_error(self, trip_table):
+        with pytest.raises(ConfigError, match="rho=1e-320"):
+            vanilla_gauss(trip_table, PrivacyBudget.from_rho(1e-320), seed=0)
+
+
 class TestStabilityHistogram:
     def test_no_false_positives_ever(self, trip_table, budget):
         for seed in range(20):
@@ -71,6 +76,10 @@ class TestStabilityHistogram:
         leaf = stability_histogram(table, budget, seed=0)
         assert set(leaf) == {("N.a", "E.x")}
         assert abs(leaf[("N.a", "E.x")] - 10000) < 100
+
+    def test_budget_that_snaps_epsilon_to_zero_is_a_config_error(self, trip_table):
+        with pytest.raises(ConfigError, match="epsilon=1e-10"):
+            stability_histogram(trip_table, PrivacyBudget.from_eps_delta(1e-10, 1e-8), seed=0)
 
     def test_requires_eps_delta_budget(self, trip_table):
         with pytest.raises(ConfigError, match="epsilon"):

@@ -160,6 +160,24 @@ class TestExitCodes:
                    *budget, "--out", str(tmp_path / "x.csv")) == 4
 
     @pytest.mark.parametrize(
+        "mechanism, budget",
+        [
+            ("inftda", ["--rho", "1e12"]),
+            ("tda-l2", ["--rho", "1e12"]),
+            ("inftda", ["--rho", "1e-320"]),
+            ("vanilla-gauss", ["--rho", "1e-320"]),
+            ("sh", ["--epsilon", "1e-10", "--delta", "1e-8"]),
+        ],
+        ids=["inftda-rho-1e12", "tda-l2-rho-1e12", "inftda-rho-1e-320",
+             "vanilla-gauss-rho-1e-320", "sh-eps-1e-10"],
+    )
+    def test_extreme_budget_is_4(self, dataset, tmp_path, capsys, mechanism, budget):
+        # each snaps a sampler parameter to 0 or to no finite rational at all
+        assert run("release", "--data", str(dataset), "--mechanism", mechanism,
+                   *budget, "--out", str(tmp_path / "x.csv")) == 4
+        assert "the budget rho=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "bad", [{"epsilons": [0.0]}, {"epsilons": ["inf"]}, {"delta": 2.0}, {"m": 0}],
         ids=["eps-0", "eps-inf", "delta-2", "m-0"],
     )
@@ -194,9 +212,15 @@ class TestExitCodes:
             {"repeats": "x"},
             {"synth": {"levels": "two"}},
             {"synth": "binary"},
+            {"synth": {"levels": 2.5}},
+            {"synth": {"levels": True}},
+            {"synth": {"k_min": 2.0}},
+            {"synth": {"k_max": 3.0}},
+            {"synth": {"seed": 1.5}},
         ],
         ids=["eps-word", "eps-scalar", "m-word", "repeats-word", "synth-levels-word",
-             "synth-string"],
+             "synth-string", "synth-levels-float", "synth-levels-bool", "synth-k-min-float",
+             "synth-k-max-float", "synth-seed-float"],
     )
     def test_malformed_sweep_value_is_4(self, dataset, tmp_path, bad):
         cfg = {"mechanisms": ["inftda"], "repeats": 1, "out_dir": str(tmp_path), **bad}
@@ -227,9 +251,22 @@ class TestExitCodes:
             {"beta": 2, "branching": 2},
             {"tree": "sideways"},
             {"mechanisms": "inftda"},
+            {"distinct": "false"},
+            {"distinct": 0},
+            {"m": 2.5},
+            {"m": True},
+            {"repeats": 2.0},
+            {"repeats": True},
+            {"seed": 0.5},
+            {"workers": True},
+            {"universe_cap": 1e7},
+            {"branching": 2.0},
+            {"universe_cap": True},
         ],
         ids=["order-list", "out-dir-number", "branching-word", "branching-1", "beta-2",
-             "tree-sideways", "mechanisms-string"],
+             "tree-sideways", "mechanisms-string", "distinct-string", "distinct-number",
+             "m-float", "m-bool", "repeats-float", "repeats-bool", "seed-float",
+             "workers-bool", "universe-cap-float", "branching-float", "universe-cap-bool"],
     )
     def test_malformed_sweep_config_is_4_before_any_release(
         self, dataset, tmp_path, monkeypatch, capsys, bad

@@ -98,6 +98,21 @@ class TestRelease:
         assert meta["sensitivity"] == {"type": "bounded", "m": 1, "distinct": True}
         assert meta["depth"] == 4 and meta["tree"] == "destination"
 
+    @pytest.mark.parametrize(
+        "rho, privacy, m, what",
+        [
+            (1e12, "bounded", 1, "per-level sigma2"),  # snaps to 0
+            (1e-320, "bounded", 1, "per-level sigma2"),  # infinite
+            (1e-320, "unbounded", 1, "per-level sigma2"),
+            (1e10, "unbounded", 4, "root sigma2"),  # per-level 8e-10 snaps to 1e-9, root 4e-10 to 0
+        ],
+    )
+    def test_unusable_snapped_variance_is_a_config_error(self, trip_table, rho, privacy, m, what):
+        config = ReleaseConfig(budget=PrivacyBudget.from_rho(rho),
+                               sensitivity=SensitivityModel(privacy, m=m), seed=0)
+        with pytest.raises(ConfigError, match=f"the budget rho={rho!r} gives the {what}"):
+            release(build_tree(trip_table), config)
+
     def test_invalid_order_rejected(self, budget):
         with pytest.raises(ConfigError, match="order"):
             ReleaseConfig(budget=budget, order="sideways")
