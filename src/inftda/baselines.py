@@ -119,6 +119,10 @@ def _round_preserving_sum(y: np.ndarray, total: int) -> List[int]:
 
 
 def _euclidean_solver(noisy: Sequence[int], total: int, order: str, rng) -> Sequence[int]:
+    if len(noisy) == 2:
+        # clamp((a - b + total) / 2, 0, total); the index tie-break rounds a half up
+        first = min(max(-((noisy[1] - noisy[0] - total) // 2), 0), total)
+        return [first, total - first]
     projected = _project_to_simplex(np.asarray(noisy, dtype=float), total)
     return _round_preserving_sum(projected, total)
 
@@ -129,7 +133,8 @@ def tda_l2(tree: HierTree, config: ReleaseConfig) -> DPRelease:
     Identical descent and noise to the main mechanism; only the per-parent
     solve differs: project the noisy children onto the real simplex
     {y >= 0, sum = parent}, floor, and distribute the remainder to the largest
-    fractional parts. The visiting-order knob does not apply here.
+    fractional parts. The visiting-order knob does not apply here. Two
+    children take a closed form with the same result, exact in integers.
     """
     return release(tree, config, mechanism="tda-l2", _solver=_euclidean_solver)
 

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional
 from .baselines import UNIVERSE_CAP, aggregate_up
 from .dataio import (
     load_dataset,
+    open_output,
     read_hierarchy_csv,
     read_release_csv,
     read_trips_csv,
@@ -116,14 +117,14 @@ def _read_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _write_json(path: str, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
@@ -228,9 +229,10 @@ def _released_levels_from_csv(
     stored: Dict[int, Dict[Key, int]], truth: HierTree, meta: Optional[dict]
 ) -> List[Dict[Key, int]]:
     """Rebuild per-depth maps; leaf-only releases are aggregated upward."""
-    if stored and max(stored) > truth.depth:
+    if stored and not 0 <= min(stored) <= max(stored) <= truth.depth:
         raise DataError(
-            f"release holds depth {max(stored)} but the dataset tree stops at {truth.depth}"
+            f"release holds depths {min(stored)}..{max(stored)} "
+            f"but the dataset tree spans 0..{truth.depth}"
         )
     if meta is not None and "mechanism" in meta:
         entry = MECHANISMS.get(meta["mechanism"])
@@ -269,7 +271,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         for depth in range(truth.depth + 1)
     ]
 
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with open_output(args.out) as fh:
         fh.write("level,max_abs_error,false_discovery_rate,released_nodes\n")
         for row in rows:
             fh.write(

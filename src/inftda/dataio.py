@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import csv
 import pickle
+from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .hierarchy import Key, PartitionHierarchy, TripTable, ingest_trips, parse_hierarchy
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "write_release_csv",
     "read_release_csv",
     "sidecar_path",
+    "open_output",
 ]
 
 DATASET_FORMAT = "od-dataset/1"
@@ -39,8 +41,19 @@ def _read_rows(path: str) -> List[List[str]]:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             return [row for row in csv.reader(fh) if row]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
+
+
+@contextmanager
+def open_output(path: str, mode: str = "w"):
+    """Open ``path`` to write; a path that cannot be written is a ConfigError."""
+    text = {"newline": "", "encoding": "utf-8"} if mode == "w" else {}
+    try:
+        with open(path, mode, **text) as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def read_hierarchy_csv(path: str) -> PartitionHierarchy:
@@ -48,7 +61,7 @@ def read_hierarchy_csv(path: str) -> PartitionHierarchy:
 
 
 def write_hierarchy_csv(hier: PartitionHierarchy, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         writer = csv.writer(fh)
         for leaf in hier.leaves:
             writer.writerow(hier.path(leaf)[1:])
@@ -59,7 +72,7 @@ def read_trips_csv(path: str, origin: PartitionHierarchy, dest: PartitionHierarc
 
 
 def write_trips_csv(table: TripTable, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         writer = csv.writer(fh)
         for (o, d) in sorted(table.counts):
             writer.writerow([o, d, table.counts[(o, d)]])
@@ -72,7 +85,7 @@ def save_dataset(table: TripTable, path: str) -> None:
         "dest_paths": [table.dest.path(leaf)[1:] for leaf in table.dest.leaves],
         "trips": sorted((o, d, c) for (o, d), c in table.counts.items()),
     }
-    with open(path, "wb") as fh:
+    with open_output(path, "wb") as fh:
         pickle.dump(payload, fh, protocol=4)
 
 
@@ -93,7 +106,7 @@ def load_dataset(path: str) -> TripTable:
 
 def write_release_csv(levels: Dict[int, Dict[Key, int]], path: str) -> None:
     """Persist released values; ``levels`` maps depth -> {(o, d): value}."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["depth", "origin", "destination", "flow"])
         for depth in sorted(levels):

@@ -31,7 +31,7 @@ from .baselines import (
     tda_l2,
     vanilla_gauss,
 )
-from .dataio import sidecar_path
+from .dataio import open_output, sidecar_path
 from .dpcore import PrivacyBudget, SensitivityModel, derive_seed
 from .errors import ConfigError
 from .hierarchy import HierTree, Key, TripTable, build_tree
@@ -267,9 +267,9 @@ class EvalReport:
 
 
 def write_report(report: EvalReport, csv_path: str, json_path: Optional[str] = None) -> None:
-    with open(csv_path, "w", encoding="utf-8") as fh:
+    with open_output(csv_path) as fh:
         fh.write(report.csv_text())
-    with open(json_path or sidecar_path(csv_path, ".json"), "w", encoding="utf-8") as fh:
+    with open_output(json_path or sidecar_path(csv_path, ".json")) as fh:
         json.dump(report.json_dict(), fh, indent=2, sort_keys=False)
         fh.write("\n")
 

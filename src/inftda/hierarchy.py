@@ -256,6 +256,12 @@ class HierTree:
         if len(levels) != self.depth + 1:
             raise DataError(f"expected {self.depth + 1} level maps, got {len(levels)}")
         self.levels = levels
+        # per parent depth: does it split the destination, and that side's children
+        self._splits = [
+            (True, dest._children[k // 2]) if (k % 2 == 0) == (mode == "destination")
+            else (False, origin._children[k // 2])
+            for k in range(self.depth)
+        ]
 
     @property
     def g(self) -> int:
@@ -279,15 +285,17 @@ class HierTree:
 
     def child_keys(self, key: Key, depth: int) -> Tuple[Key, ...]:
         """Full child universe of a node, from the hierarchies (not the data)."""
-        self._check_depth(depth)
-        if depth >= self.depth:
+        if not 0 <= depth < self.depth:
+            self._check_depth(depth)
             raise DataError("leaf nodes have no children")
+        split_dest, children = self._splits[depth]
         o, d = key
-        ol, dl = self.component_levels(depth)
-        split_dest = (depth % 2 == 0) == (self.mode == "destination")
-        if split_dest:
-            return tuple((o, c) for c in self.dest.children(dl, d))
-        return tuple((c, d) for c in self.origin.children(ol, o))
+        try:
+            if split_dest:
+                return tuple([(o, c) for c in children[d]])
+            return tuple([(c, d) for c in children[o]])
+        except KeyError as exc:
+            raise DataError(f"unknown area {exc.args[0]!r} at level {depth // 2}") from None
 
     def parent_key(self, key: Key, depth: int) -> Key:
         self._check_depth(depth)

@@ -11,7 +11,8 @@ surplus remains, and relax the clip radius t by one notch per full round. The
 visiting order picks which optimal solution is returned: ascending order
 reduces the smallest entries first (fewest spurious positives), descending
 reduces the largest first (fewest spurious zeros), random emulates an
-arbitrary optimum.
+arbitrary optimum. ``intopt_fast`` returns the same solution in closed form
+for d <= 2, where every parent of a binary hierarchy lands.
 
 All arithmetic is exact (Python integers), so there is no overflow path.
 """
@@ -132,17 +133,36 @@ def intopt_fast(
     order: str = "ascending",
     rng: Optional[random.Random] = None,
 ) -> OptResult:
-    """Same output as ``intopt_simple``, with two shortcuts.
+    """Same output as ``intopt_simple``: a closed form for d <= 2, two shortcuts above.
 
-    Coordinates already clipped to -x_i are dropped from the rotation at each
-    wrap (they can only no-op), and the radius jumps by the whole-round average
-    surplus instead of by 1, so a round either finishes the job or retires at
-    least one coordinate. Worst case O(d^2) instead of O(d * max|x|).
+    For d = 2, with T = c - a - b and base = ceil(T / 2), it is (0, c) if
+    base < -a, (c, 0) if base < -b, else (a + base, b + base) with, for odd T,
+    one unit off the first still-positive coordinate in visiting order.
+
+    Above that, coordinates already clipped to -x_i are dropped from the
+    rotation at each wrap (they can only no-op), and the radius jumps by the
+    whole-round average surplus instead of by 1, so a round either finishes the
+    job or retires at least one coordinate. Worst case O(d^2), not O(d * max|x|).
     """
     xs = _check_problem(x, c)
     d = len(xs)
     if d == 1:
         return OptResult((c,), abs(c - xs[0]))
+    if d == 2:
+        a, b = xs
+        if order == "ascending" or order == "descending":  # ties go to index 0
+            first = int(b < a if order == "ascending" else a < b)
+        else:  # validates the order and shuffles as the loop would
+            first = _order_indices(xs, order, rng)[0]
+        target = c - a - b
+        base = -((-target) // 2)
+        if base < -min(a, b):  # the smaller coordinate clips to 0 (a != b here)
+            y = [0, c] if a < b else [c, 0]
+        else:
+            y = [a + base, b + base]
+            if 2 * base > target:
+                y[first if y[first] > 0 else 1 - first] -= 1
+        return OptResult(tuple(y), max(abs(y[0] - a), abs(y[1] - b)))
     target = c - sum(xs)
     z = _initial_offset(xs, c)
     t = max(abs(v) for v in z)

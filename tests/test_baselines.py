@@ -20,7 +20,7 @@ from inftda import (
     validate_consistency,
     vanilla_gauss,
 )
-from inftda.baselines import _project_to_simplex, _round_preserving_sum
+from inftda.baselines import _euclidean_solver, _project_to_simplex, _round_preserving_sum
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +135,31 @@ class TestSimplexProjection:
     def test_rounding_ties_break_by_index(self):
         assert _round_preserving_sum(np.array([0.5, 0.5, 1.0]), 3) == [1, 1, 1]
         assert _round_preserving_sum(np.array([0.5, 0.5, 0.0]), 2) == [1, 1, 0]
+
+
+class TestTwoChildSolver:
+    @staticmethod
+    def projected_and_rounded(a, b, total):
+        projected = _project_to_simplex(np.array([a, b], dtype=float), total)
+        return _round_preserving_sum(projected, total)
+
+    def test_equals_projection_and_rounding_on_a_grid(self):
+        for a in range(-15, 16):
+            for b in range(-15, 16):
+                for total in range(41):
+                    assert _euclidean_solver((a, b), total, "ascending", None) == (
+                        self.projected_and_rounded(a, b, total)
+                    ), (a, b, total)
+
+    def test_equals_projection_and_rounding_on_large_values(self):
+        # up to 2**50 the float path is still exact, halves included
+        rng = random.Random(5)
+        for i in range(3000):
+            a, b = rng.randint(-2**50, 2**50), rng.randint(-2**50, 2**50)
+            total = 0 if i % 10 == 0 else rng.randint(0, 2**50)
+            assert _euclidean_solver((a, b), total, "ascending", None) == (
+                self.projected_and_rounded(a, b, total)
+            ), (a, b, total)
 
 
 class TestTdaL2:

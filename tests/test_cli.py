@@ -302,3 +302,54 @@ class TestExitCodes:
         (tmp_path / "rel.meta.json").write_text(sidecar)
         assert run("evaluate", "--truth", str(dataset), "--release", str(rel),
                    "--out", str(tmp_path / "report.csv")) == 3
+
+    @pytest.mark.parametrize("reader", ["hierarchy", "trips", "release", "sidecar", "sweep"])
+    def test_non_utf8_input_is_3(self, dataset, tmp_path, capsys, reader):
+        ds, bad, rel = tmp_path / "ds", str(tmp_path / "bad"), str(tmp_path / "rel.csv")
+        (tmp_path / "bad").write_bytes(b"a,b\n\xff\xfe,c\n")
+        assert run("release", "--data", str(dataset), "--mechanism", "inftda",
+                   "--rho", "1", "--out", rel) == 0
+        hier_o, hier_d, trips = (str(ds / name) for name in (
+            "origin_hierarchy.csv", "destination_hierarchy.csv", "trips.csv"))
+        report = str(tmp_path / "report.csv")
+        argv = {
+            "hierarchy": ["ingest", "--hierarchy-o", bad, "--hierarchy-d", hier_d,
+                          "--trips", trips, "--out", str(tmp_path / "x.bin")],
+            "trips": ["ingest", "--hierarchy-o", hier_o, "--hierarchy-d", hier_d,
+                      "--trips", bad, "--out", str(tmp_path / "x.bin")],
+            "release": ["evaluate", "--truth", str(dataset), "--release", bad, "--out", report],
+            "sidecar": ["evaluate", "--truth", str(dataset), "--release", rel,
+                        "--meta", bad, "--out", report],
+            "sweep": ["sweep", "--config", bad],
+        }[reader]
+        capsys.readouterr()
+        assert run(*argv) == 3
+        assert f"cannot read {bad}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["release-out", "release-meta", "ingest", "evaluate"])
+    def test_unwritable_output_is_4(self, dataset, tmp_path, capsys, target):
+        ds, rel = tmp_path / "ds", str(tmp_path / "rel.csv")
+        nowhere = str(tmp_path / "missing-dir" / "out")
+        assert run("release", "--data", str(dataset), "--mechanism", "inftda",
+                   "--rho", "1", "--out", rel) == 0
+        release_cmd = ["release", "--data", str(dataset), "--mechanism", "inftda", "--rho", "1"]
+        argv = {
+            "release-out": [*release_cmd, "--out", nowhere],
+            "release-meta": [*release_cmd, "--out", rel, "--meta", nowhere],
+            "ingest": ["ingest", "--hierarchy-o", str(ds / "origin_hierarchy.csv"),
+                       "--hierarchy-d", str(ds / "destination_hierarchy.csv"),
+                       "--trips", str(ds / "trips.csv"), "--out", nowhere],
+            "evaluate": ["evaluate", "--truth", str(dataset), "--release", rel, "--out", nowhere],
+        }[target]
+        capsys.readouterr()
+        assert run(*argv) == 4
+        assert f"cannot write {nowhere}" in capsys.readouterr().err
+
+    def test_negative_release_depth_is_3(self, dataset, tmp_path, capsys):
+        rel = tmp_path / "rel.csv"
+        assert run("release", "--data", str(dataset), "--mechanism", "inftda",
+                   "--rho", "1", "--out", str(rel)) == 0
+        rel.write_text(rel.read_text() + "-1,a,b,3\n")
+        assert run("evaluate", "--truth", str(dataset), "--release", str(rel),
+                   "--out", str(tmp_path / "report.csv")) == 3
+        assert "depths -1..4" in capsys.readouterr().err

@@ -141,6 +141,19 @@ class TestHierTree:
             tree.parent_key((ROOT_AREA, ROOT_AREA), 0)
 
     @pytest.mark.parametrize("mode", ["destination", "origin"])
+    def test_child_keys_errors(self, trip_table, mode):
+        tree = build_tree(trip_table, mode)
+        root = (ROOT_AREA, ROOT_AREA)
+        with pytest.raises(DataError, match=r"depth -1 outside \[0, 4\]"):
+            tree.child_keys(root, -1)  # never wraps round to the deepest split
+        with pytest.raises(DataError, match="leaf nodes have no children"):
+            tree.child_keys(root, tree.depth)
+        with pytest.raises(DataError, match=r"depth 5 outside \[0, 4\]"):
+            tree.child_keys(root, tree.depth + 1)
+        with pytest.raises(DataError, match="unknown area 'nowhere' at level 1"):
+            tree.child_keys(("nowhere", "nowhere"), 2)
+
+    @pytest.mark.parametrize("mode", ["destination", "origin"])
     def test_range_query_matches_brute_force(self, trip_table, mode):
         tree = build_tree(trip_table, mode)
         g = trip_table.origin.levels

@@ -74,6 +74,27 @@ class TestProperties:
             assert intopt_simple(x, c).distance == lower_bound(x, c)
 
 
+class TestTwoCoordinates:
+    def test_closed_form_equals_the_loop_on_a_grid(self):
+        # every sign pattern, odd and even gaps, and both clamps, in every order;
+        # the random order must also leave its rng where the loop leaves it
+        for order in ORDERS:
+            for a in range(-12, 13):
+                for b in range(-12, 13):
+                    for c in range(31):
+                        rng_simple, rng_fast = random.Random(a * 31 + b), random.Random(a * 31 + b)
+                        simple = intopt_simple((a, b), c, order, rng_simple)
+                        fast = intopt_fast((a, b), c, order, rng_fast)
+                        assert fast == simple, (a, b, c, order)
+                        assert rng_fast.getstate() == rng_simple.getstate()
+
+    def test_order_is_still_validated(self):
+        with pytest.raises(ValueError):
+            intopt_fast((1, 2), 2, "sideways")
+        with pytest.raises(ValueError):
+            intopt_fast((1, 2), 2, "random")  # rng required
+
+
 class TestEdges:
     def test_single_coordinate(self):
         res = intopt_fast((7,), 3)
