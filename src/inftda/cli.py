@@ -22,6 +22,7 @@ from typing import Dict, List, Optional
 from .baselines import UNIVERSE_CAP, aggregate_up
 from .dataio import (
     load_dataset,
+    make_output_dir,
     open_output,
     read_hierarchy_csv,
     read_release_csv,
@@ -176,7 +177,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     dest = gen_partition(spec, args.seed, "destination")
     table = gen_flows(origin, dest, spec, args.seed)
 
-    os.makedirs(args.out, exist_ok=True)
+    make_output_dir(args.out)
     write_hierarchy_csv(origin, os.path.join(args.out, "origin_hierarchy.csv"))
     write_hierarchy_csv(dest, os.path.join(args.out, "destination_hierarchy.csv"))
     write_trips_csv(table, os.path.join(args.out, "trips.csv"))
@@ -295,11 +296,31 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
+# every key cmd_sweep and _table_from_sweep_config read; any other is an error
+_SWEEP_KEYS = frozenset({
+    "data", "synth", "mechanisms", "order", "privacy", "m", "distinct", "epsilons",
+    "delta", "out_dir", "repeats", "seed", "tree", "universe_cap", "branching", "beta",
+})
+_SYNTH_KEYS = frozenset({"kind", "levels", "k_min", "k_max", "sparsity", "exponent", "seed"})
+
+
+def _check_keys(block: dict, known: frozenset, where: str) -> None:
+    """A key of ``block`` outside ``known`` (a typo, say) is a configuration error."""
+    unknown = sorted(set(block) - known)
+    if unknown:
+        raise ConfigError(
+            f"unknown {where} key {unknown[0]!r}; known keys: {', '.join(sorted(known))}"
+        )
+
+
 def _table_from_sweep_config(cfg: dict):
+    if "data" in cfg and "synth" in cfg:
+        raise ConfigError("give the sweep either a 'data' path or a 'synth' block, not both")
     if "data" in cfg:
         return load_dataset(_config_field(cfg, "data", _text()))
     if "synth" in cfg:
         s = _config_field(cfg, "synth", dict)
+        _check_keys(s, _SYNTH_KEYS, "synth")
         seed = _config_field(s, "seed", _integer, 0)
         spec = SynthSpec(
             kind=s.get("kind", "binary"),
@@ -317,6 +338,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _read_json(args.config)
     if not isinstance(cfg, dict):
         raise ConfigError(f"{args.config} must hold a JSON object")
+    _check_keys(cfg, _SWEEP_KEYS, "sweep config")
     table = _table_from_sweep_config(cfg)
     mechanisms = _config_field(cfg, "mechanisms", _list_of(_text(*MECHANISMS)), list(MECHANISMS))
     order_flag = _config_field(cfg, "order", _text(*ORDER_FLAGS), "asc")
@@ -331,7 +353,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for eps in epsilons:
         _configured(PrivacyBudget.from_eps_delta, eps, delta)
     out_dir = _config_field(cfg, "out_dir", _text(), ".")
-    os.makedirs(out_dir, exist_ok=True)
+    make_output_dir(out_dir)
 
     reports = run_experiment(
         table,
@@ -343,7 +365,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         order=ORDER_FLAGS[order_flag],
         mode=_config_field(cfg, "tree", _text("destination", "origin"), "destination"),
         sens=sens,
-        workers=_config_field(cfg, "workers", _integer, 1),
         universe_cap=_config_field(cfg, "universe_cap", _integer, UNIVERSE_CAP),
         branching=_config_field(cfg, "branching", lambda v: v if v is None else _integer(v)),
         beta=_config_field(cfg, "beta", float, 0.01),

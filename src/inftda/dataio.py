@@ -14,6 +14,7 @@ read back as absent, which evaluates as zero).
 from __future__ import annotations
 
 import csv
+import os
 import pickle
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
@@ -32,6 +33,7 @@ __all__ = [
     "read_release_csv",
     "sidecar_path",
     "open_output",
+    "make_output_dir",
 ]
 
 DATASET_FORMAT = "od-dataset/1"
@@ -52,6 +54,15 @@ def open_output(path: str, mode: str = "w"):
     try:
         with open(path, mode, **text) as fh:
             yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def make_output_dir(path: str) -> None:
+    """Create directory ``path`` and its parents if missing; a path that cannot
+    be made a directory (say, an existing file) is a ConfigError."""
+    try:
+        os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
@@ -99,6 +110,10 @@ def load_dataset(path: str) -> TripTable:
         raise DataError(f"{path} is not a dataset container: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format") != DATASET_FORMAT:
         raise DataError(f"{path} is not a {DATASET_FORMAT} container")
+    for name in ("origin_paths", "dest_paths", "trips"):
+        rows = payload.get(name)
+        if not isinstance(rows, list) or not all(isinstance(r, (list, tuple)) for r in rows):
+            raise DataError(f"{path}: {name!r} in the container is not a list of rows")
     origin = parse_hierarchy(payload["origin_paths"])
     dest = parse_hierarchy(payload["dest_paths"])
     return ingest_trips(payload["trips"], origin, dest)

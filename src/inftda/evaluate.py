@@ -10,10 +10,12 @@ of released-positive nodes whose true count is zero.
 
 ``run_experiment`` runs a grid of (mechanism, epsilon) cells, each repeated
 with paired per-repeat seeds (repeat r uses the same derived seed for every
-mechanism, so per-seed comparisons are honest). Repeats can run in a process
-pool; keyed substreams make the result identical for any worker count. Reports
-serialize to a CSV (one row per level, no timing columns, byte-stable for a
-fixed seed) plus a JSON envelope that additionally carries wall-clock numbers.
+mechanism, so per-seed comparisons are honest). The repeats of the whole grid
+are spread over every usable CPU by ``parallel``, the same fork scheduler the
+release uses; keyed substreams make the result identical for any CPU count.
+Reports serialize to a CSV (one row per level, no timing columns, byte-stable
+for a fixed seed) plus a JSON envelope that additionally carries wall-clock
+numbers.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, replace
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence
 
+from . import parallel
 from .baselines import (
     UNIVERSE_CAP,
     aggregate_up,
@@ -183,16 +185,6 @@ def run_mechanism(
     return rel.tree.levels, wall_ms
 
 
-def _repeat_cell(args):
-    # module-level so a process pool can pickle it; args are run_mechanism's
-    tree = args[2]
-    levels, wall_ms = run_mechanism(*args)
-    errors = max_abs_error_per_level(tree, levels)
-    fdrs = [false_discovery_rate(tree, levels, depth) for depth in range(tree.depth + 1)]
-    nodes = _positive_node_counts(levels, tree.depth)
-    return errors, fdrs, nodes, wall_ms
-
-
 # ---------------------------------------------------------------------------
 # reports
 
@@ -288,7 +280,6 @@ def run_experiment(
     order: str = "ascending",
     mode: str = "destination",
     sens: SensitivityModel = SensitivityModel(),
-    workers: int = 1,
     universe_cap: int = UNIVERSE_CAP,
     branching: Optional[int] = None,
     beta: float = 0.01,
@@ -299,56 +290,67 @@ def run_experiment(
     comparison across mechanisms or epsilons is paired. ``branching`` adds the
     theoretical per-level error envelope to the JSON payload (regular synthetic
     trees only).
+
+    Each repeat of each cell is one job. The jobs are dealt round-robin into
+    min(W, jobs) groups for ``parallel.run_split``, with W the usable CPUs; a
+    single group runs here, and then each release may split itself instead.
     """
     if repeats < 1:
         raise ConfigError("repeats must be >= 1")
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
     if branching is not None and (branching < 2 or not 0.0 < beta < 1.0):
         raise ConfigError(
             f"the envelope needs branching >= 2 and beta in (0, 1), got {branching}, {beta}"
         )
     tree = build_tree(table, mode)
     repeat_seeds = [derive_seed(seed, "repeat", r) for r in range(repeats)]
-    reports: List[EvalReport] = []
-    for eps in epsilons:
-        budget = PrivacyBudget.from_eps_delta(eps, delta)
-        for mechanism in mechanisms:
-            tasks = [
-                (mechanism, table, tree, budget, sens, order, s, universe_cap)
-                for s in repeat_seeds
-            ]
-            if workers == 1 or repeats == 1:
-                outcomes = [_repeat_cell(t) for t in tasks]
-            else:
-                with ProcessPoolExecutor(max_workers=min(workers, repeats)) as pool:
-                    outcomes = list(pool.map(_repeat_cell, tasks))
-            levels = [
-                LevelStats(depth, *_spread([o[0][depth] for o in outcomes]),
-                           *_spread([o[1][depth] for o in outcomes]),
-                           *_spread([o[2][depth] for o in outcomes]))
-                for depth in range(tree.depth + 1)
-            ]
-            envelope = None
-            entry = MECHANISMS[mechanism]
-            if branching is not None and not entry.leaf_only:
-                envelope = [
-                    theoretical_error_envelope(d, branching, tree.depth, budget, sens, beta)
-                    for d in range(tree.depth + 1)
-                ]
-            reports.append(
-                EvalReport(
-                    mechanism=mechanism,
-                    rho=budget.rho,
-                    epsilon=budget.epsilon,
-                    delta=budget.delta,
-                    order=entry.order or order,
-                    seed=seed,
-                    repeats=repeats,
-                    tree_mode=mode,
-                    levels=levels,
-                    wall_ms=[o[3] for o in outcomes],
-                    envelope=envelope,
-                )
+    cells = [(PrivacyBudget.from_eps_delta(e, delta), m) for e in epsilons for m in mechanisms]
+    jobs = list(enumerate((budget, m, s) for budget, m in cells for s in repeat_seeds))
+
+    def run_jobs(group):
+        # (job index, (errors, fdrs, node counts, wall_ms)) for each job
+        out = []
+        for index, (budget, mechanism, s) in group:
+            levels, wall_ms = run_mechanism(
+                mechanism, table, tree, budget, sens, order, s, universe_cap
             )
+            fdrs = [false_discovery_rate(tree, levels, d) for d in range(tree.depth + 1)]
+            nodes = _positive_node_counts(levels, tree.depth)
+            out.append((index, (max_abs_error_per_level(tree, levels), fdrs, nodes, wall_ms)))
+        return out
+
+    outcomes: Dict[int, tuple] = {}
+    count = min(parallel.usable_cpus(), len(jobs))
+    parallel.run_split([jobs[g::count] for g in range(count)], run_jobs, outcomes.update)
+
+    reports: List[EvalReport] = []
+    for cell, (budget, mechanism) in enumerate(cells):
+        runs = [outcomes[i] for i in range(cell * repeats, (cell + 1) * repeats)]
+        levels = [
+            LevelStats(depth, *_spread([o[0][depth] for o in runs]),
+                       *_spread([o[1][depth] for o in runs]),
+                       *_spread([o[2][depth] for o in runs]))
+            for depth in range(tree.depth + 1)
+        ]
+        envelope = None
+        entry = MECHANISMS[mechanism]
+        if branching is not None and not entry.leaf_only:
+            envelope = [
+                theoretical_error_envelope(d, branching, tree.depth, budget, sens, beta)
+                for d in range(tree.depth + 1)
+            ]
+        reports.append(
+            EvalReport(
+                mechanism=mechanism,
+                rho=budget.rho,
+                epsilon=budget.epsilon,
+                delta=budget.delta,
+                order=entry.order or order,
+                seed=seed,
+                repeats=repeats,
+                tree_mode=mode,
+                levels=levels,
+                wall_ms=[o[3] for o in runs],
+                envelope=envelope,
+            )
+        )
     return reports

@@ -218,7 +218,7 @@ def ingest_trips(
         d = str(d).strip()
         try:
             c = int(c)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise DataError(f"trip count {c!r} is not an integer") from None
         if c <= 0:
             raise DataError(f"trip count must be positive, got {c} for ({o!r}, {d!r})")

@@ -17,30 +17,29 @@ Noise is drawn from per-parent substreams keyed by (seed, depth, node key), so
 a release is bit-reproducible no matter how the per-parent work is scheduled.
 
 Once a node's released total is fixed, its subtree depends on nothing else,
-so the release splits into independent jobs. With W usable CPUs (the process's
-CPU affinity), it expands serially from the root to the first depth whose
-released frontier holds at least W nodes, deals that frontier into W groups of
-near-equal released total, and forks W-1 workers; each expands one group to
-the leaves and pipes its per-depth maps back, while this process expands the
-lightest group and then merges the others in. The output is identical for
-every W; only dict insertion order within a level differs, and nothing reads
-it (writers and digests sort). After the split, a depth's ``wall_ms`` is its
-time summed over all processes. The release stays serial when W is 1, when
-``os.fork`` is missing, when another thread is alive, or when the true tree
-has fewer than ``PARALLEL_MIN_NODES`` nodes.
+so the release splits into independent jobs. With W usable CPUs (the
+process's CPU affinity, from ``parallel.usable_cpus``), it expands serially
+from the root to the first depth whose released frontier holds at least W
+nodes, deals that frontier into W groups of near-equal released total, and
+hands them to ``parallel.run_split``: W-1 forked workers each expand one group
+to the leaves and pipe their per-depth maps back, while this process expands
+the lightest group and then merges the others in. The output is identical
+for every W; only dict insertion order within a level differs, and nothing
+reads it (writers and digests sort). After the split, a depth's ``wall_ms`` is
+its time summed over all processes. The release stays serial when W is 1
+(which ``parallel`` also reports when ``os.fork`` is missing, when another
+thread is alive, and inside another split, such as a sweep worker) or when
+the true tree has fewer than ``PARALLEL_MIN_NODES`` nodes.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from . import parallel
 from .dpcore import (
     PrivacyBudget,
     SensitivityModel,
@@ -122,16 +121,6 @@ def _chebyshev_solver(noisy: Sequence[int], total: int, order: str, rng) -> Sequ
 PARALLEL_MIN_NODES = 2_000
 
 
-def _usable_cpus() -> int:
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
-def _can_fork() -> bool:
-    # forking a process with other threads alive can deadlock the child
-    return hasattr(os, "fork") and threading.active_count() == 1
-
-
 def _balanced_groups(frontier: Dict[Key, int], count: int) -> List[Dict[Key, int]]:
     """Split ``frontier`` into ``count`` groups of near-equal released total,
     lightest first: each node, largest total first, joins the lightest group.
@@ -143,85 +132,6 @@ def _balanced_groups(frontier: Dict[Key, int], count: int) -> List[Dict[Key, int
         groups[lightest][key] = frontier[key]
         loads[lightest] += frontier[key]
     return [groups[i] for i in sorted(range(count), key=loads.__getitem__)]
-
-
-def _fork_worker(work: Callable, arg) -> Tuple[int, int]:
-    """Run ``work(arg)`` in a forked child; return (pid, read end of its result pipe).
-
-    The child pickles ``(True, result)`` or ``(False, exception)`` into the pipe
-    and leaves with ``os._exit``: no atexit handlers, no inherited stdio flush.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid:
-        os.close(write_fd)
-        return pid, read_fd
-    status = 1
-    try:
-        os.close(read_fd)
-        try:
-            outcome = (True, work(arg))
-        except BaseException as exc:  # noqa: BLE001 - every failure goes to the parent
-            outcome = (False, exc)
-        try:
-            payload = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
-        except Exception:  # noqa: BLE001 - an exception that does not pickle
-            error = RuntimeError(f"release worker failed with {outcome[1]!r}")
-            payload = pickle.dumps((False, error))
-        with os.fdopen(write_fd, "wb") as pipe:
-            pipe.write(payload)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _collect(pid: int, read_fd: int):
-    """The result the worker ``pid`` sent; reaps it and closes ``read_fd``."""
-    try:
-        with os.fdopen(read_fd, "rb") as pipe:
-            payload = pipe.read()
-    finally:
-        _, status = os.waitpid(pid, 0)
-    try:
-        ok, value = pickle.loads(payload)
-    except (EOFError, pickle.UnpicklingError):
-        raise RuntimeError(
-            f"release worker {pid} exited with status "
-            f"{os.waitstatus_to_exitcode(status)} without a result"
-        ) from None
-    if not ok:
-        raise value
-    return value
-
-
-def _run_split(groups: List[Dict[Key, int]], descend: Callable, merge: Callable) -> None:
-    """``merge(descend(group))`` for every group: the first in this process,
-    the others in one forked worker each (or here, if the fork fails, say for
-    a process limit). Every worker is reaped on every path.
-    """
-    workers: List[Tuple[int, int]] = []
-    local = groups[:1]
-    try:
-        for group in groups[1:]:
-            try:
-                workers.append(_fork_worker(descend, group))
-            except OSError:
-                local.append(group)
-        for group in local:
-            merge(descend(group))
-        while workers:
-            pid, read_fd = workers.pop(0)
-            merge(_collect(pid, read_fd))
-    finally:
-        for pid, read_fd in workers:
-            os.close(read_fd)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 def release(
@@ -276,8 +186,8 @@ def release(
                     current[child] = int(value)
         return current
 
-    workers = _usable_cpus()
-    split = workers > 1 and sum(map(len, tree.levels)) >= PARALLEL_MIN_NODES and _can_fork()
+    workers = parallel.usable_cpus()
+    split = workers > 1 and sum(map(len, tree.levels)) >= PARALLEL_MIN_NODES
     depth = 1
     while depth <= depth_total and not (split and len(levels[depth - 1]) >= workers):
         start = time.perf_counter()
@@ -301,7 +211,7 @@ def release(
             wall_ms[depth] += ms
 
     if first <= depth_total:
-        _run_split(_balanced_groups(levels[first - 1], workers), descend, merge)
+        parallel.run_split(_balanced_groups(levels[first - 1], workers), descend, merge)
 
     per_level = [
         {"depth": depth, "node_count": len(levels[depth]), "wall_ms": wall_ms[depth]}

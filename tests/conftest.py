@@ -1,5 +1,6 @@
-"""Shared toy fixtures (a 2-level hierarchy pair and a small trip table), and
-a check after every test that it left no child process behind."""
+"""Shared toy fixtures (a 2-level hierarchy pair and a small trip table), a
+fork counter with faked CPU counts, and a check after every test that it left
+no child process behind."""
 
 import os
 
@@ -40,6 +41,29 @@ def dest_hier():
 @pytest.fixture(scope="session")
 def trip_table(origin_hier, dest_hier):
     return ingest_trips(TRIP_ROWS, origin_hier, dest_hier)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Fake CPU counts with ``forks.cpus(n)``; ``forks.count`` counts os.fork calls."""
+    real_fork = os.fork
+
+    class Forks:
+        count = 0
+
+        def cpus(self, n):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    state = Forks()
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            state.count += 1
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return state
 
 
 @pytest.fixture(autouse=True)

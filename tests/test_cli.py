@@ -217,10 +217,11 @@ class TestExitCodes:
             {"synth": {"k_min": 2.0}},
             {"synth": {"k_max": 3.0}},
             {"synth": {"seed": 1.5}},
+            {"synth": {"kind": "binary", "level": 2}},
         ],
         ids=["eps-word", "eps-scalar", "m-word", "repeats-word", "synth-levels-word",
              "synth-string", "synth-levels-float", "synth-levels-bool", "synth-k-min-float",
-             "synth-k-max-float", "synth-seed-float"],
+             "synth-k-max-float", "synth-seed-float", "synth-unknown-level"],
     )
     def test_malformed_sweep_value_is_4(self, dataset, tmp_path, bad):
         cfg = {"mechanisms": ["inftda"], "repeats": 1, "out_dir": str(tmp_path), **bad}
@@ -262,11 +263,15 @@ class TestExitCodes:
             {"universe_cap": 1e7},
             {"branching": 2.0},
             {"universe_cap": True},
+            {"synth": {"kind": "binary", "levels": 2}},
+            {"epsilon": [0.1]},
+            {"workers": 2},
         ],
         ids=["order-list", "out-dir-number", "branching-word", "branching-1", "beta-2",
              "tree-sideways", "mechanisms-string", "distinct-string", "distinct-number",
              "m-float", "m-bool", "repeats-float", "repeats-bool", "seed-float",
-             "workers-bool", "universe-cap-float", "branching-float", "universe-cap-bool"],
+             "workers-bool", "universe-cap-float", "branching-float", "universe-cap-bool",
+             "data-and-synth", "unknown-epsilon", "unknown-workers"],
     )
     def test_malformed_sweep_config_is_4_before_any_release(
         self, dataset, tmp_path, monkeypatch, capsys, bad
@@ -280,6 +285,21 @@ class TestExitCodes:
         assert run("sweep", "--config", str(config)) == 4
         assert released == []
         assert next(iter(bad)) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["synth", "sweep"])
+    def test_output_dir_that_is_a_file_is_4(self, dataset, tmp_path, capsys, command):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"data": str(dataset), "mechanisms": ["sh"],
+                                      "repeats": 1, "out_dir": str(afile)}))
+        argv = {
+            "synth": ["synth", "--levels", "2", "--out", str(afile)],
+            "sweep": ["sweep", "--config", str(config)],
+        }[command]
+        capsys.readouterr()
+        assert run(*argv) == 4
+        assert f"cannot write {afile}" in capsys.readouterr().err
 
     def test_sweep_data_that_is_not_a_path_is_4_before_any_open(self, tmp_path, monkeypatch):
         loaded = []

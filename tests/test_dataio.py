@@ -70,6 +70,25 @@ class TestDatasetContainer:
             load_dataset(str(path))
 
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("dest_paths", None), ("origin_paths", 5), ("trips", [5]),
+         ("trips", [("N.a", "E.x", float("inf"))])],
+        ids=["missing-dest-paths", "origin-paths-number", "trip-row-number", "trip-count-inf"],
+    )
+    def test_malformed_fields_are_data_errors(self, trip_table, tmp_path, field, value):
+        path = tmp_path / "malformed.bin"
+        save_dataset(trip_table, str(path))
+        payload = pickle.loads(path.read_bytes())
+        if value is None:
+            del payload[field]
+        else:
+            payload[field] = value
+        path.write_bytes(pickle.dumps(payload))
+        with pytest.raises(DataError):
+            load_dataset(str(path))
+
+
 class TestReleaseCsv:
     def test_round_trip_with_negatives_and_zero_root(self, tmp_path):
         levels = {

@@ -38,29 +38,6 @@ def tree():
     return tree
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Fake CPU counts with ``forks.cpus(n)``; ``forks.count`` counts os.fork calls."""
-    real_fork = os.fork
-
-    class Forks:
-        count = 0
-
-        def cpus(self, n):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-    state = Forks()
-
-    def counting_fork():
-        pid = real_fork()
-        if pid:
-            state.count += 1
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return state
-
-
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
