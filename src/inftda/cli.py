@@ -17,9 +17,10 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional
+from dataclasses import fields
+from typing import List, Optional
 
-from .baselines import UNIVERSE_CAP, aggregate_up
+from .baselines import UNIVERSE_CAP
 from .dataio import (
     load_dataset,
     make_output_dir,
@@ -37,46 +38,40 @@ from .dpcore import PrivacyBudget, SensitivityModel
 from .errors import ConfigError, DataError
 from .evaluate import (
     MECHANISMS,
-    false_discovery_rate,
-    max_abs_error_per_level,
+    level_scores,
+    released_levels,
     run_experiment,
     run_release,
     write_report,
 )
-from .hierarchy import HierTree, Key, build_tree
+from .hierarchy import build_tree
 from .synth import SPARSITY_NAMES, SynthSpec, gen_dataset, gen_flows, gen_partition
 from .topdown import ReleaseConfig
 
 __all__ = ["main"]
 
 ORDER_FLAGS = {"asc": "ascending", "desc": "descending", "random": "random"}
+# the evaluation report's CSV header and the keys of its JSON rows
+EVAL_COLUMNS = ("level", "max_abs_error", "false_discovery_rate", "released_nodes")
 
 
-def _parse_sparsity(value) -> float:
-    if isinstance(value, str) and value in SPARSITY_NAMES:
-        return SPARSITY_NAMES[value]
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        names = ", ".join(sorted(SPARSITY_NAMES))
-        raise ConfigError(f"sparsity must be one of {names} or a float in (0, 1]") from None
+def _integer(value) -> int:
+    # JSON true/false are bools, which Python also counts as ints
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("expected a JSON integer")
+    return value
 
 
-def _configured(build, *args, **kwargs):
-    """Call ``build``; a ValueError it raises is a configuration error (exit 4)."""
-    try:
-        return build(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("expected a JSON number")
+    return float(value)
 
 
-def _config_field(block: dict, name: str, convert, default=None):
-    """``convert(block[name])``; a value it cannot convert is a configuration error."""
-    value = block.get(name, default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value {value!r} for config field {name!r}: {exc}") from None
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError("expected a JSON boolean")
+    return value
 
 
 def _text(*choices: str):
@@ -92,19 +87,6 @@ def _text(*choices: str):
     return convert
 
 
-def _integer(value) -> int:
-    # JSON true/false are bools, which Python also counts as ints
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError("expected a JSON integer")
-    return value
-
-
-def _boolean(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError("expected a JSON boolean")
-    return value
-
-
 def _list_of(convert):
     def convert_all(values) -> list:
         if not isinstance(values, list):
@@ -112,6 +94,71 @@ def _list_of(convert):
         return [convert(v) for v in values]
 
     return convert_all
+
+
+def _sparsity(value) -> float:
+    """A number, or a sparsity name from ``SPARSITY_NAMES``."""
+    if isinstance(value, str) and value not in SPARSITY_NAMES:
+        raise ConfigError(f"sparsity must be one of {', '.join(SPARSITY_NAMES)} or a number")
+    return SPARSITY_NAMES[value] if isinstance(value, str) else _number(value)
+
+
+def _number_or_name(text: str):
+    """``--sparsity`` as a number, or as text for ``_sparsity`` to check."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+# Each key a sweep config block may hold, with the converter of its JSON value.
+# A key left out takes the default of run_experiment, SensitivityModel or SynthSpec.
+_SYNTH_CONFIG = {
+    "kind": _text(),
+    "levels": _integer,
+    "k_min": _integer,
+    "k_max": _integer,
+    "sparsity": _sparsity,
+    "exponent": _number,
+    "seed": _integer,
+}
+_SWEEP_CONFIG = {
+    "data": _text(),
+    "synth": lambda block: _config_fields(block, _SYNTH_CONFIG, "synth block"),
+    "out_dir": _text(),
+    "privacy": _text(),
+    "m": _integer,
+    "distinct": _boolean,
+    "mechanisms": _list_of(_text(*MECHANISMS)),
+    "epsilons": _list_of(_number),
+    "delta": _number,
+    "repeats": _integer,
+    "seed": _integer,
+    "order": lambda value: ORDER_FLAGS[_text(*ORDER_FLAGS)(value)],
+    "tree": _text("destination", "origin"),
+    "universe_cap": _integer,
+    "branching": lambda value: value if value is None else _integer(value),
+    "beta": _number,
+}
+
+
+def _config_fields(block, table: dict, where: str) -> dict:
+    """The JSON object ``block`` with each value converted by ``table``; a key
+    outside ``table`` (a typo, say) or a value it rejects is a ConfigError."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"the {where} must be a JSON object")
+    unknown = sorted(set(block) - set(table))
+    if unknown:
+        raise ConfigError(
+            f"unknown {where} key {unknown[0]!r}; known keys: {', '.join(sorted(table))}"
+        )
+    converted = {}
+    for name, value in block.items():
+        try:
+            converted[name] = table[name](value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad value {value!r} for config field {name!r}: {exc}") from None
+    return converted
 
 
 def _read_json(path: str):
@@ -134,18 +181,12 @@ def _budget_from_args(args: argparse.Namespace) -> PrivacyBudget:
     if args.rho is not None and args.epsilon is not None:
         raise ConfigError("give either --rho or --epsilon, not both")
     if args.rho is not None:
-        return _configured(PrivacyBudget.from_rho, args.rho, args.delta)
+        return PrivacyBudget.from_rho(args.rho, args.delta)
     if args.epsilon is not None:
         if args.delta is None:
             raise ConfigError("--epsilon needs --delta")
-        return _configured(PrivacyBudget.from_eps_delta, args.epsilon, args.delta)
+        return PrivacyBudget.from_eps_delta(args.epsilon, args.delta)
     raise ConfigError("a privacy budget is required: --rho R or --epsilon E --delta D")
-
-
-def _sens_from_args(args: argparse.Namespace) -> SensitivityModel:
-    return _configured(
-        SensitivityModel, privacy=args.privacy, m=args.m, distinct=not args.non_distinct
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +211,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         levels=args.levels,
         k_min=args.k_min,
         k_max=args.k_max,
-        sparsity=_parse_sparsity(args.sparsity),
+        sparsity=_sparsity(args.sparsity),
         exponent=args.exponent,
     )
     origin = gen_partition(spec, args.seed, "origin")
@@ -208,7 +249,7 @@ def cmd_release(args: argparse.Namespace) -> int:
     table = load_dataset(args.data)
     config = ReleaseConfig(
         budget=_budget_from_args(args),
-        sensitivity=_sens_from_args(args),
+        sensitivity=SensitivityModel(args.privacy, args.m, distinct=not args.non_distinct),
         order=ORDER_FLAGS[args.order],
         seed=args.seed,
     )
@@ -226,153 +267,62 @@ def cmd_release(args: argparse.Namespace) -> int:
     return 0
 
 
-def _released_levels_from_csv(
-    stored: Dict[int, Dict[Key, int]], truth: HierTree, meta: Optional[dict]
-) -> List[Dict[Key, int]]:
-    """Rebuild per-depth maps; leaf-only releases are aggregated upward."""
-    if stored and not 0 <= min(stored) <= max(stored) <= truth.depth:
-        raise DataError(
-            f"release holds depths {min(stored)}..{max(stored)} "
-            f"but the dataset tree spans 0..{truth.depth}"
-        )
-    if meta is not None and "mechanism" in meta:
-        entry = MECHANISMS.get(meta["mechanism"])
-        leaf_only = entry is not None and entry.leaf_only
-    else:
-        leaf_only = 0 not in stored  # tree releases always store the root row
-    if leaf_only:
-        leaf_map = stored.get(truth.depth, {})
-        return aggregate_up(leaf_map, truth.origin, truth.dest, truth.mode)
-    return [stored.get(d, {}) for d in range(truth.depth + 1)]
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     table = load_dataset(args.truth)
     stored = read_release_csv(args.release)
 
-    meta: Optional[dict] = None
+    meta: dict = {}
     meta_path = args.meta or sidecar_path(args.release, ".meta.json")
     if args.meta or os.path.exists(meta_path):
         meta = _read_json(meta_path)
         if not isinstance(meta, dict) or not isinstance(meta.get("mechanism", ""), str):
             raise DataError(f"{meta_path} is not a release sidecar object")
 
-    mode = (meta or {}).get("tree", args.tree)
+    mode = meta.get("tree", args.tree)
     truth = build_tree(table, mode)
-    released = _released_levels_from_csv(stored, truth, meta)
-
-    errors = max_abs_error_per_level(truth, released)
-    rows = [
-        {
-            "level": depth,
-            "max_abs_error": errors[depth],
-            "false_discovery_rate": false_discovery_rate(truth, released, depth),
-            "released_nodes": sum(1 for v in released[depth].values() if v > 0),
-        }
-        for depth in range(truth.depth + 1)
-    ]
+    scores = level_scores(truth, released_levels(stored, truth, meta.get("mechanism")))
 
     with open_output(args.out) as fh:
-        fh.write("level,max_abs_error,false_discovery_rate,released_nodes\n")
-        for row in rows:
-            fh.write(
-                f"{row['level']},{row['max_abs_error']},"
-                f"{row['false_discovery_rate']:.6f},{row['released_nodes']}\n"
-            )
+        fh.write(",".join(EVAL_COLUMNS) + "\n")
+        for depth, (error, fdr, nodes) in enumerate(scores):
+            fh.write(f"{depth},{error},{fdr:.6f},{nodes}\n")
     json_path = sidecar_path(args.out, ".json")
     _write_json(json_path, {
         "schema": "od-eval/1",
         "truth": args.truth,
         "release": args.release,
-        "mechanism": (meta or {}).get("mechanism"),
+        "mechanism": meta.get("mechanism"),
         "tree": mode,
-        "levels": rows,
+        "levels": [dict(zip(EVAL_COLUMNS, (depth, *row))) for depth, row in enumerate(scores)],
     })
-    leaf_row = rows[-1]
+    error, fdr, _ = scores[-1]
     print(
-        f"evaluated {args.release}: leaf max error {leaf_row['max_abs_error']}, "
-        f"leaf FDR {leaf_row['false_discovery_rate']:.2f}% -> {args.out}, {json_path}"
+        f"evaluated {args.release}: leaf max error {error}, "
+        f"leaf FDR {fdr:.2f}% -> {args.out}, {json_path}"
     )
     return 0
 
 
-# every key cmd_sweep and _table_from_sweep_config read; any other is an error
-_SWEEP_KEYS = frozenset({
-    "data", "synth", "mechanisms", "order", "privacy", "m", "distinct", "epsilons",
-    "delta", "out_dir", "repeats", "seed", "tree", "universe_cap", "branching", "beta",
-})
-_SYNTH_KEYS = frozenset({"kind", "levels", "k_min", "k_max", "sparsity", "exponent", "seed"})
-
-
-def _check_keys(block: dict, known: frozenset, where: str) -> None:
-    """A key of ``block`` outside ``known`` (a typo, say) is a configuration error."""
-    unknown = sorted(set(block) - known)
-    if unknown:
-        raise ConfigError(
-            f"unknown {where} key {unknown[0]!r}; known keys: {', '.join(sorted(known))}"
-        )
-
-
-def _table_from_sweep_config(cfg: dict):
-    if "data" in cfg and "synth" in cfg:
-        raise ConfigError("give the sweep either a 'data' path or a 'synth' block, not both")
-    if "data" in cfg:
-        return load_dataset(_config_field(cfg, "data", _text()))
-    if "synth" in cfg:
-        s = _config_field(cfg, "synth", dict)
-        _check_keys(s, _SYNTH_KEYS, "synth")
-        seed = _config_field(s, "seed", _integer, 0)
-        spec = SynthSpec(
-            kind=s.get("kind", "binary"),
-            levels=_config_field(s, "levels", _integer, 0),
-            k_min=_config_field(s, "k_min", _integer, 2),
-            k_max=_config_field(s, "k_max", _integer, 10),
-            sparsity=_parse_sparsity(s.get("sparsity", 1.0)),
-            exponent=_config_field(s, "exponent", float, 2.0),
-        )
-        return gen_dataset(spec, seed)
-    raise ConfigError("sweep config needs a 'data' path or a 'synth' block")
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _read_json(args.config)
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{args.config} must hold a JSON object")
-    _check_keys(cfg, _SWEEP_KEYS, "sweep config")
-    table = _table_from_sweep_config(cfg)
-    mechanisms = _config_field(cfg, "mechanisms", _list_of(_text(*MECHANISMS)), list(MECHANISMS))
-    order_flag = _config_field(cfg, "order", _text(*ORDER_FLAGS), "asc")
-    sens = _configured(
-        SensitivityModel,
-        privacy=cfg.get("privacy", "bounded"),
-        m=_config_field(cfg, "m", _integer, 1),
-        distinct=_config_field(cfg, "distinct", _boolean, True),
-    )
-    epsilons = _config_field(cfg, "epsilons", _list_of(float), [1.0])
-    delta = _config_field(cfg, "delta", float, 1e-8)
-    for eps in epsilons:
-        _configured(PrivacyBudget.from_eps_delta, eps, delta)
-    out_dir = _config_field(cfg, "out_dir", _text(), ".")
+    cfg = _config_fields(_read_json(args.config), _SWEEP_CONFIG, "sweep config")
+    if ("data" in cfg) == ("synth" in cfg):
+        raise ConfigError("give the sweep a 'data' path or a 'synth' block, not both")
+    sens = SensitivityModel(**{f.name: cfg.pop(f.name) for f in fields(SensitivityModel)
+                               if f.name in cfg})
+    if "data" in cfg:
+        table = load_dataset(cfg.pop("data"))
+    else:
+        synth = cfg.pop("synth")
+        seed = synth.pop("seed", 0)
+        table = gen_dataset(SynthSpec(**synth), seed)
+    out_dir = cfg.pop("out_dir", ".")
     make_output_dir(out_dir)
+    if "tree" in cfg:
+        cfg["mode"] = cfg.pop("tree")
 
-    reports = run_experiment(
-        table,
-        mechanisms=mechanisms,
-        epsilons=epsilons,
-        delta=delta,
-        repeats=_config_field(cfg, "repeats", _integer, 10),
-        seed=_config_field(cfg, "seed", _integer, 0),
-        order=ORDER_FLAGS[order_flag],
-        mode=_config_field(cfg, "tree", _text("destination", "origin"), "destination"),
-        sens=sens,
-        universe_cap=_config_field(cfg, "universe_cap", _integer, UNIVERSE_CAP),
-        branching=_config_field(cfg, "branching", lambda v: v if v is None else _integer(v)),
-        beta=_config_field(cfg, "beta", float, 0.01),
-    )
-    for report in reports:
-        eps_tag = "" if report.epsilon is None else f"_eps{report.epsilon:g}"
-        base = os.path.join(out_dir, f"report_{report.mechanism}{eps_tag}")
-        write_report(report, base + ".csv", base + ".json")
+    for report in run_experiment(table, sens=sens, **cfg):
+        base = os.path.join(out_dir, f"report_{report.mechanism}_eps{report.epsilon:g}")
+        write_report(report, base + ".csv")
         leaf = report.levels[-1]
         print(
             f"{report.mechanism} eps={report.epsilon:g}: leaf err mean {leaf.err_mean:.1f}, "
@@ -403,6 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["binary", "random"], default="binary")
     p.add_argument(
         "--sparsity",
+        type=_number_or_name,
         default="complete",
         help="complete, dense, sparse, or a float in (0, 1] (fraction of populated cells)",
     )

@@ -8,7 +8,8 @@ aggregated trips); load rebuilds through the normal constructors so every
 validation rule re-runs.
 Release CSV: header depth,origin,destination,flow; tree mechanisms store all
 depths, leaf mechanisms only the leaf depth. Zero values are omitted (they
-read back as absent, which evaluates as zero).
+read back as absent, which evaluates as zero); a node given twice is a
+DataError.
 """
 
 from __future__ import annotations
@@ -150,5 +151,8 @@ def read_release_csv(path: str) -> Dict[int, Dict[Key, int]]:
             value = int(row[3])
         except ValueError:
             raise DataError(f"malformed release row {row!r}") from None
-        levels.setdefault(depth, {})[(row[1], row[2])] = value
+        level = levels.setdefault(depth, {})
+        if (row[1], row[2]) in level:
+            raise DataError(f"duplicate release row {row!r}")
+        level[(row[1], row[2])] = value
     return levels

@@ -62,7 +62,7 @@ Numeric = Union[int, float, Fraction]
 def eps_from_rho(rho: float, delta: float) -> float:
     """(epsilon, delta) statement implied by a rho-zCDP guarantee."""
     if rho < 0:
-        raise ValueError("rho must be >= 0")
+        raise ConfigError("rho must be >= 0")
     _check_delta(delta)
     if rho == 0:
         return 0.0
@@ -76,7 +76,7 @@ def rho_from_eps_delta(eps: float, delta: float) -> float:
     cancellation in (sqrt(L+eps) - sqrt(L))**2 for small eps.
     """
     if eps < 0:
-        raise ValueError("eps must be >= 0")
+        raise ConfigError("eps must be >= 0")
     _check_delta(delta)
     if eps == 0:
         return 0.0
@@ -86,7 +86,7 @@ def rho_from_eps_delta(eps: float, delta: float) -> float:
 
 def _check_delta(delta: float) -> None:
     if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+        raise ConfigError(f"delta must lie in (0, 1), got {delta!r}")
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ class PrivacyBudget:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.rho) and self.rho > 0):
-            raise ValueError(f"rho must be finite and > 0, got {self.rho!r}")
+            raise ConfigError(f"rho must be finite and > 0, got {self.rho!r}")
 
     @classmethod
     def from_rho(cls, rho: float, delta: Optional[float] = None) -> "PrivacyBudget":
@@ -116,7 +116,7 @@ class PrivacyBudget:
     @classmethod
     def from_eps_delta(cls, eps: float, delta: float) -> "PrivacyBudget":
         if not (math.isfinite(eps) and eps > 0):
-            raise ValueError(f"eps must be finite and > 0, got {eps!r}")
+            raise ConfigError(f"eps must be finite and > 0, got {eps!r}")
         return cls(rho=rho_from_eps_delta(eps, delta), epsilon=float(eps), delta=float(delta))
 
 
@@ -140,9 +140,9 @@ class SensitivityModel:
 
     def __post_init__(self) -> None:
         if self.privacy not in ("bounded", "unbounded"):
-            raise ValueError(f"privacy must be 'bounded' or 'unbounded', got {self.privacy!r}")
+            raise ConfigError(f"privacy must be 'bounded' or 'unbounded', got {self.privacy!r}")
         if not (isinstance(self.m, int) and self.m >= 1):
-            raise ValueError("m must be an integer >= 1")
+            raise ConfigError("m must be an integer >= 1")
 
     @property
     def gs2_squared(self) -> int:
@@ -163,7 +163,7 @@ def per_level_sigma2(budget: PrivacyBudget, sens: SensitivityModel, depth: int) 
     m=1 distinct model (GS2^2 = 2) this equals depth/rho.
     """
     if depth < 1:
-        raise ValueError("depth must be >= 1")
+        raise ConfigError("depth must be >= 1")
     return sens.gs2_squared * depth / (2.0 * budget.rho)
 
 
@@ -192,7 +192,7 @@ def snap_parameter(value: float, what: str, budget: PrivacyBudget) -> Fraction:
 def stability_threshold(eps: float, delta: float) -> float:
     """Pruning threshold for the stability histogram: 1 + 2*ln(2/delta)/eps."""
     if not eps > 0:
-        raise ValueError("eps must be > 0")
+        raise ConfigError("eps must be > 0")
     _check_delta(delta)
     return 1.0 + 2.0 * math.log(2.0 / delta) / eps
 
@@ -294,7 +294,7 @@ def sample_discrete_laplace(scale: Numeric, rng: random.Random, size: Optional[i
     """
     frac = _as_fraction(scale)
     if frac.numerator <= 0:
-        raise ValueError("scale must be > 0")
+        raise ConfigError("scale must be > 0")
     count = 1 if size is None else size
     draws = _exact_draws(count, frac.numerator, frac.denominator, rng.getrandbits)
     return draws[0] if size is None else draws
@@ -311,7 +311,7 @@ def sample_discrete_gaussian(sigma2: Numeric, rng: random.Random, size: Optional
     frac = _as_fraction(sigma2)
     num, den = frac.numerator, frac.denominator
     if num <= 0:
-        raise ValueError("sigma2 must be > 0")
+        raise ConfigError("sigma2 must be > 0")
     t = math.isqrt(num // den) + 1  # floor(sqrt(floor(x))) == floor(sqrt(x))
     count = 1 if size is None else size
     draws = _exact_draws(count, t, 1, rng.getrandbits, num, den * t, 2 * num * den * t * t)

@@ -1,8 +1,9 @@
 """Error taxonomy shared across the package.
 
 The CLI maps these onto exit codes: invalid input data is a DataError (exit 3),
-an unusable parameter combination is a ConfigError (exit 4). Plain usage
-mistakes are argparse's business (exit 2).
+an unusable parameter or combination of parameters is a ConfigError (exit
+4), raised where the library checks it. Plain usage mistakes are argparse's
+business (exit 2).
 """
 
 
@@ -11,4 +12,4 @@ class DataError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Parameters are individually valid but the combination is unusable."""
+    """A parameter, or a combination of parameters, is unusable."""

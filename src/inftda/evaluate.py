@@ -6,7 +6,8 @@ run every mechanism through ``run_release``, which returns a ``DPRelease``.
 Mechanisms are compared level by level on two quantities: the maximum absolute
 error over the union of true and released supports (keys absent from both read
 as zero and contribute nothing), and the false discovery rate, the percentage
-of released-positive nodes whose true count is zero.
+of released-positive nodes whose true count is zero. The sweep and ``inftda
+evaluate`` both score a release with ``released_levels`` and ``level_scores``.
 
 ``run_experiment`` runs a grid of (mechanism, epsilon) cells, each repeated
 with paired per-repeat seeds (repeat r uses the same derived seed for every
@@ -23,7 +24,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import parallel
 from .baselines import (
@@ -35,7 +36,7 @@ from .baselines import (
 )
 from .dataio import open_output, sidecar_path
 from .dpcore import PrivacyBudget, SensitivityModel, derive_seed
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .hierarchy import HierTree, Key, TripTable, build_tree
 from .topdown import DPRelease, ReleaseConfig, release, theoretical_error_envelope
 
@@ -45,6 +46,8 @@ __all__ = [
     "EvalReport",
     "max_abs_error_per_level",
     "false_discovery_rate",
+    "released_levels",
+    "level_scores",
     "run_release",
     "run_mechanism",
     "run_experiment",
@@ -152,10 +155,38 @@ def false_discovery_rate(
     return 100.0 * false_pos / len(positives)
 
 
-def _positive_node_counts(released_levels: Sequence[Dict[Key, int]], depth: int) -> List[int]:
+def released_levels(
+    stored: Dict[int, Dict[Key, int]], truth: HierTree, mechanism: Optional[str] = None
+) -> List[Dict[Key, int]]:
+    """One released map per depth of ``truth`` from ``stored`` ({depth: map}),
+    rolled up from the leaves if ``mechanism`` is leaf-only or, unnamed, if the
+    root row is missing (tree releases always store it). A depth outside
+    ``truth`` is a DataError."""
+    if stored and not 0 <= min(stored) <= max(stored) <= truth.depth:
+        raise DataError(
+            f"release holds depths {min(stored)}..{max(stored)} "
+            f"but the dataset tree spans 0..{truth.depth}"
+        )
+    if mechanism is None:
+        leaf_only = 0 not in stored
+    else:
+        leaf_only = mechanism in MECHANISMS and MECHANISMS[mechanism].leaf_only
+    if leaf_only:
+        return aggregate_up(stored.get(truth.depth, {}), truth.origin, truth.dest, truth.mode)
+    return [stored.get(d, {}) for d in range(truth.depth + 1)]
+
+
+def level_scores(
+    truth: HierTree, released: Sequence[Dict[Key, int]]
+) -> List[Tuple[int, float, int]]:
+    """(max abs error, false discovery rate, positive released nodes) at each
+    depth of ``truth``; ``released`` holds one map per depth."""
+    errors = max_abs_error_per_level(truth, released)
     return [
-        sum(1 for v in level.values() if v > 0) for level in released_levels
-    ] + [0] * (depth + 1 - len(released_levels))
+        (errors[d], false_discovery_rate(truth, released, d),
+         sum(1 for v in released[d].values() if v > 0))
+        for d in range(truth.depth + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +211,7 @@ def run_mechanism(
     start = time.perf_counter()
     rel = run_release(mechanism, table, tree.mode, tree, config, universe_cap)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    if MECHANISMS[mechanism].leaf_only:
-        return aggregate_up(rel.tree.levels[-1], table.origin, table.dest, tree.mode), wall_ms
-    return rel.tree.levels, wall_ms
+    return released_levels(dict(enumerate(rel.tree.levels)), tree, mechanism), wall_ms
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +232,9 @@ class LevelStats:
     nodes_max: int
 
 
-def _spread(values: list) -> tuple:
-    """(min, mean, max) of one statistic over the repeats."""
-    return min(values), sum(values) / len(values), max(values)
+def _spread(scores: Sequence[tuple]) -> list:
+    """(min, mean, max) over the repeats of each score in turn."""
+    return [x for v in zip(*scores) for x in (min(v), sum(v) / len(v), max(v))]
 
 
 CSV_HEADER = (
@@ -258,10 +287,11 @@ class EvalReport:
         }
 
 
-def write_report(report: EvalReport, csv_path: str, json_path: Optional[str] = None) -> None:
+def write_report(report: EvalReport, csv_path: str) -> None:
+    """The report's CSV at ``csv_path`` and its JSON next to it."""
     with open_output(csv_path) as fh:
         fh.write(report.csv_text())
-    with open_output(json_path or sidecar_path(csv_path, ".json")) as fh:
+    with open_output(sidecar_path(csv_path, ".json")) as fh:
         json.dump(report.json_dict(), fh, indent=2, sort_keys=False)
         fh.write("\n")
 
@@ -272,8 +302,8 @@ def write_report(report: EvalReport, csv_path: str, json_path: Optional[str] = N
 
 def run_experiment(
     table: TripTable,
-    mechanisms: Sequence[str],
-    epsilons: Sequence[float],
+    mechanisms: Sequence[str] = tuple(MECHANISMS),
+    epsilons: Sequence[float] = (1.0,),
     delta: float = 1e-8,
     repeats: int = 10,
     seed: int = 0,
@@ -288,8 +318,9 @@ def run_experiment(
 
     Repeat r of every cell uses the seed derived from (seed, r), so a per-seed
     comparison across mechanisms or epsilons is paired. ``branching`` adds the
-    theoretical per-level error envelope to the JSON payload (regular synthetic
-    trees only).
+    theoretical per-level error envelope to the JSON payload of each tree
+    mechanism (regular synthetic trees only). Every budget and envelope is
+    computed before any job runs, so a bad parameter fails first.
 
     Each repeat of each cell is one job. The jobs are dealt round-robin into
     min(W, jobs) groups for ``parallel.run_split``, with W the usable CPUs; a
@@ -297,25 +328,26 @@ def run_experiment(
     """
     if repeats < 1:
         raise ConfigError("repeats must be >= 1")
-    if branching is not None and (branching < 2 or not 0.0 < beta < 1.0):
-        raise ConfigError(
-            f"the envelope needs branching >= 2 and beta in (0, 1), got {branching}, {beta}"
-        )
     tree = build_tree(table, mode)
     repeat_seeds = [derive_seed(seed, "repeat", r) for r in range(repeats)]
-    cells = [(PrivacyBudget.from_eps_delta(e, delta), m) for e in epsilons for m in mechanisms]
-    jobs = list(enumerate((budget, m, s) for budget, m in cells for s in repeat_seeds))
+    cells = []
+    for eps in epsilons:
+        budget = PrivacyBudget.from_eps_delta(eps, delta)
+        envelope = None if branching is None else [
+            theoretical_error_envelope(d, branching, tree.depth, budget, sens, beta)
+            for d in range(tree.depth + 1)
+        ]
+        cells += [(budget, envelope, m) for m in mechanisms]
+    jobs = list(enumerate((budget, m, s) for budget, _, m in cells for s in repeat_seeds))
 
     def run_jobs(group):
-        # (job index, (errors, fdrs, node counts, wall_ms)) for each job
+        # (job index, (level scores, wall_ms)) for each job
         out = []
         for index, (budget, mechanism, s) in group:
             levels, wall_ms = run_mechanism(
                 mechanism, table, tree, budget, sens, order, s, universe_cap
             )
-            fdrs = [false_discovery_rate(tree, levels, d) for d in range(tree.depth + 1)]
-            nodes = _positive_node_counts(levels, tree.depth)
-            out.append((index, (max_abs_error_per_level(tree, levels), fdrs, nodes, wall_ms)))
+            out.append((index, (level_scores(tree, levels), wall_ms)))
         return out
 
     outcomes: Dict[int, tuple] = {}
@@ -323,21 +355,10 @@ def run_experiment(
     parallel.run_split([jobs[g::count] for g in range(count)], run_jobs, outcomes.update)
 
     reports: List[EvalReport] = []
-    for cell, (budget, mechanism) in enumerate(cells):
+    for cell, (budget, envelope, mechanism) in enumerate(cells):
         runs = [outcomes[i] for i in range(cell * repeats, (cell + 1) * repeats)]
-        levels = [
-            LevelStats(depth, *_spread([o[0][depth] for o in runs]),
-                       *_spread([o[1][depth] for o in runs]),
-                       *_spread([o[2][depth] for o in runs]))
-            for depth in range(tree.depth + 1)
-        ]
-        envelope = None
+        levels = [LevelStats(d, *_spread([s[d] for s, _ in runs])) for d in range(tree.depth + 1)]
         entry = MECHANISMS[mechanism]
-        if branching is not None and not entry.leaf_only:
-            envelope = [
-                theoretical_error_envelope(d, branching, tree.depth, budget, sens, beta)
-                for d in range(tree.depth + 1)
-            ]
         reports.append(
             EvalReport(
                 mechanism=mechanism,
@@ -349,8 +370,8 @@ def run_experiment(
                 repeats=repeats,
                 tree_mode=mode,
                 levels=levels,
-                wall_ms=[o[3] for o in runs],
-                envelope=envelope,
+                wall_ms=[wall_ms for _, wall_ms in runs],
+                envelope=None if entry.leaf_only else envelope,
             )
         )
     return reports

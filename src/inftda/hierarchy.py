@@ -199,9 +199,10 @@ def ingest_trips(
 ) -> TripTable:
     """Aggregate raw trip rows (origin, destination[, count]) into a TripTable.
 
-    A missing count column means 1. Duplicate pairs accumulate. Unknown leaf
-    ids and non-positive counts are rejected, and so (by TripTable) are
-    hierarchies of unequal depth.
+    A missing count column means 1; a count is an int or integer text.
+    Duplicate pairs accumulate. Unknown leaf ids and non-integer or
+    non-positive counts are rejected, and so (by TripTable) are hierarchies of
+    unequal depth.
     """
     o_leaves = set(origin.leaves)
     d_leaves = set(dest.leaves)
@@ -217,8 +218,11 @@ def ingest_trips(
         o = str(o).strip()
         d = str(d).strip()
         try:
+            # an int or integer text; int() would truncate 2.7 and read True as 1
+            if isinstance(c, bool) or not isinstance(c, (int, str)):
+                raise TypeError
             c = int(c)
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, ValueError):
             raise DataError(f"trip count {c!r} is not an integer") from None
         if c <= 0:
             raise DataError(f"trip count must be positive, got {c} for ({o!r}, {d!r})")

@@ -62,7 +62,7 @@ def _fork_worker(work: Callable, arg) -> Tuple[int, int]:
         try:
             payload = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
         except Exception:  # noqa: BLE001 - an exception that does not pickle
-            error = RuntimeError(f"release worker failed with {outcome[1]!r}")
+            error = RuntimeError(f"worker failed with {outcome[1]!r}")
             payload = pickle.dumps((False, error))
         with os.fdopen(write_fd, "wb") as pipe:
             pipe.write(payload)
@@ -82,7 +82,7 @@ def _collect(pid: int, read_fd: int):
         ok, value = pickle.loads(payload)
     except (EOFError, pickle.UnpicklingError):
         raise RuntimeError(
-            f"release worker {pid} exited with status "
+            f"worker {pid} exited with status "
             f"{os.waitstatus_to_exitcode(status)} without a result"
         ) from None
     if not ok:

@@ -240,14 +240,12 @@ def theoretical_error_envelope(
     (union bound over the level and every noise coordinate feeding it). Only
     defined for regular trees; irregular trees have no single b.
     """
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    if level > depth:
-        raise ValueError(f"level {level} beyond tree depth {depth}")
+    if not 0 <= level <= depth:
+        raise ConfigError(f"level {level} outside the tree depths 0..{depth}")
     if branching < 2:
-        raise ValueError("branching factor must be >= 2")
+        raise ConfigError(f"branching factor must be >= 2, got {branching!r}")
     if not 0.0 < beta < 1.0:
-        raise ValueError("beta must lie in (0, 1)")
+        raise ConfigError(f"beta must lie in (0, 1), got {beta!r}")
     if level == 0:
         return 0.0
     sigma2 = per_level_sigma2(budget, sens, depth)

@@ -116,6 +116,34 @@ class TestPipeline:
         assert payload["envelope"][0] == 0.0
 
 
+    def test_sweep_keys_at_their_defaults_change_nothing(self, tmp_path, monkeypatch):
+        # each key at the default README.md documents, against a config naming none
+        synth = {"kind": "binary", "levels": 2, "sparsity": 0.5, "seed": 1}
+        explicit = {
+            "synth": {**synth, "k_min": 2, "k_max": 10, "exponent": 2.0},
+            "mechanisms": list(evaluate.MECHANISMS), "epsilons": [1.0], "delta": 1e-8,
+            "repeats": 10, "seed": 0, "order": "asc", "tree": "destination",
+            "privacy": "bounded", "m": 1, "distinct": True, "universe_cap": 10_000_000,
+            "branching": None, "beta": 0.01, "out_dir": ".",
+        }
+        reports = {}
+        for name, cfg in (("bare", {"synth": synth}), ("explicit", explicit)):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            (tmp_path / name / "sweep.json").write_text(json.dumps(cfg))
+            assert run("sweep", "--config", "sweep.json") == 0
+            reports[name] = {}
+            for path in sorted((tmp_path / name).glob("report_*")):
+                data = path.read_text()
+                if path.suffix == ".json":
+                    payload = json.loads(data)
+                    payload.pop("wall_ms")
+                    data = payload
+                reports[name][path.name] = data
+        assert len(reports["bare"]) == 2 * len(evaluate.MECHANISMS)
+        assert reports["bare"] == reports["explicit"]
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self):
         assert run("release", "--mechanism", "inftda") == 2  # --data missing
@@ -218,10 +246,13 @@ class TestExitCodes:
             {"synth": {"k_max": 3.0}},
             {"synth": {"seed": 1.5}},
             {"synth": {"kind": "binary", "level": 2}},
+            {"synth": {"levels": 2, "exponent": True}},
+            {"synth": {"levels": 2, "sparsity": True}},
         ],
         ids=["eps-word", "eps-scalar", "m-word", "repeats-word", "synth-levels-word",
              "synth-string", "synth-levels-float", "synth-levels-bool", "synth-k-min-float",
-             "synth-k-max-float", "synth-seed-float", "synth-unknown-level"],
+             "synth-k-max-float", "synth-seed-float", "synth-unknown-level",
+             "synth-exponent-bool", "synth-sparsity-bool"],
     )
     def test_malformed_sweep_value_is_4(self, dataset, tmp_path, bad):
         cfg = {"mechanisms": ["inftda"], "repeats": 1, "out_dir": str(tmp_path), **bad}
@@ -266,12 +297,15 @@ class TestExitCodes:
             {"synth": {"kind": "binary", "levels": 2}},
             {"epsilon": [0.1]},
             {"workers": 2},
+            {"epsilons": [True]},
+            {"delta": "1e-8"},
         ],
         ids=["order-list", "out-dir-number", "branching-word", "branching-1", "beta-2",
              "tree-sideways", "mechanisms-string", "distinct-string", "distinct-number",
              "m-float", "m-bool", "repeats-float", "repeats-bool", "seed-float",
              "workers-bool", "universe-cap-float", "branching-float", "universe-cap-bool",
-             "data-and-synth", "unknown-epsilon", "unknown-workers"],
+             "data-and-synth", "unknown-epsilon", "unknown-workers", "eps-bool",
+             "delta-string"],
     )
     def test_malformed_sweep_config_is_4_before_any_release(
         self, dataset, tmp_path, monkeypatch, capsys, bad
@@ -373,3 +407,13 @@ class TestExitCodes:
         assert run("evaluate", "--truth", str(dataset), "--release", str(rel),
                    "--out", str(tmp_path / "report.csv")) == 3
         assert "depths -1..4" in capsys.readouterr().err
+
+    def test_duplicate_release_row_is_3(self, dataset, tmp_path, capsys):
+        rel = tmp_path / "rel.csv"
+        assert run("release", "--data", str(dataset), "--mechanism", "inftda",
+                   "--rho", "1", "--out", str(rel)) == 0
+        rel.write_text(rel.read_text() + "0,__all__,__all__,999999\n")
+        assert run("evaluate", "--truth", str(dataset), "--release", str(rel),
+                   "--out", str(tmp_path / "report.csv")) == 3
+        assert "duplicate release row ['0', '__all__', '__all__', '999999']" in (
+            capsys.readouterr().err)

@@ -1,6 +1,7 @@
 """Accounting conversions, sensitivity table, and the exact samplers."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inftda import (
+    ConfigError,
     PrivacyBudget,
     SensitivityModel,
     derive_seed,
@@ -18,6 +20,7 @@ from inftda import (
     sample_discrete_laplace,
     stability_threshold,
     substream,
+    theoretical_error_envelope,
 )
 
 # Oracle-frozen constants (bisection on the forward conversion; see the
@@ -196,3 +199,38 @@ class TestSubstreams:
         assert s == derive_seed(3, "repeat", 4)
         assert 0 <= s < 2**64
         assert s != derive_seed(3, "repeat", 5)
+
+
+BUDGET = PrivacyBudget.from_rho(1.0)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: PrivacyBudget.from_rho(0.0),
+        lambda: PrivacyBudget.from_rho(1.0, delta=1.5),
+        lambda: PrivacyBudget.from_eps_delta(float("inf"), 1e-8),
+        lambda: PrivacyBudget.from_eps_delta(1.0, 0.0),
+        lambda: eps_from_rho(-1.0, 1e-8),
+        lambda: rho_from_eps_delta(-1.0, 1e-8),
+        lambda: SensitivityModel(privacy="sideways"),
+        lambda: SensitivityModel(m=0),
+        lambda: per_level_sigma2(BUDGET, SensitivityModel(), 0),
+        lambda: stability_threshold(0.0, 1e-8),
+        lambda: sample_discrete_gaussian(0, random.Random(0)),
+        lambda: sample_discrete_laplace(-1, random.Random(0)),
+        lambda: theoretical_error_envelope(1, 1, 4, BUDGET),
+        lambda: theoretical_error_envelope(1, 2, 4, BUDGET, beta=1.0),
+        lambda: theoretical_error_envelope(5, 2, 4, BUDGET),
+        lambda: theoretical_error_envelope(-1, 2, 4, BUDGET),
+    ],
+    ids=["rho-0", "rho-delta-1.5", "eps-inf", "delta-0", "eps-from-rho-negative",
+         "rho-from-eps-negative", "privacy-sideways", "m-0", "sigma2-depth-0",
+         "threshold-eps-0", "gauss-sigma2-0", "laplace-scale-negative",
+         "envelope-branching-1", "envelope-beta-1", "envelope-level-too-deep",
+         "envelope-level-negative"],
+)
+def test_parameter_check_raises_config_error(check):
+    # a ConfigError is what the CLI turns into exit 4; it is also a ValueError
+    with pytest.raises(ConfigError):
+        check()

@@ -155,6 +155,10 @@ class TestRunExperiment:
             else:
                 assert r.envelope is None
 
+    def test_default_grid_is_every_mechanism_at_epsilon_1(self, experiment_table):
+        reports = run_experiment(experiment_table, repeats=1)
+        assert [(r.mechanism, r.epsilon) for r in reports] == [(m, 1.0) for m in MECHANISMS]
+
     def test_deterministic_across_calls(self, experiment_table):
         kwargs = dict(mechanisms=["tda-l2"], epsilons=[1.0], repeats=3, seed=8)
         a = run_experiment(experiment_table, **kwargs)

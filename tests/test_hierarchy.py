@@ -73,7 +73,7 @@ class TestIngestTrips:
     @pytest.mark.parametrize(
         "row",
         [("Z", "E.x", 1), ("N.a", "Z", 1), ("N.a", "E.x", 0), ("N.a", "E.x", "many"),
-         ("N.a", "E.x", 1, 9)],
+         ("N.a", "E.x", 1, 9), ("N.a", "E.x", 2.7), ("N.a", "E.x", 2.0), ("N.a", "E.x", True)],
     )
     def test_bad_rows_rejected(self, origin_hier, dest_hier, row):
         with pytest.raises(DataError):

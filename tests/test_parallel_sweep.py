@@ -103,3 +103,29 @@ def test_job_exception_reaches_the_caller(forks, fork_pids, monkeypatch, failing
     assert fork_pids() == [parent]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+class Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("cannot pickle this")
+
+
+@pytest.mark.parametrize("failure", ["unpicklable", "exit"])
+def test_failing_sweep_worker_names_itself_a_worker(forks, monkeypatch, failure):
+    forks.cpus(2)
+    parent = os.getpid()
+    real_run = evaluate.run_mechanism
+
+    def run_mechanism(*args):
+        if os.getpid() != parent:
+            if failure == "exit":
+                os._exit(7)
+            raise Unpicklable("odd")
+        return real_run(*args)
+
+    monkeypatch.setattr(evaluate, "run_mechanism", run_mechanism)
+    table = gen_dataset(SynthSpec(kind="binary", levels=3, sparsity=0.5), 5)
+    message = {"unpicklable": r"^worker failed with Unpicklable\('odd'\)$",
+               "exit": r"^worker \d+ exited with status 7 without a result$"}[failure]
+    with pytest.raises(RuntimeError, match=message):
+        run_experiment(table, mechanisms=["inftda", "sh"], epsilons=[1.0], repeats=2)
