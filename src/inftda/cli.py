@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 usage error, 3 bad data, 4 bad configuration,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import fields
@@ -26,11 +25,13 @@ from .dataio import (
     make_output_dir,
     open_output,
     read_hierarchy_csv,
+    read_json,
     read_release_csv,
     read_trips_csv,
     save_dataset,
     sidecar_path,
     write_hierarchy_csv,
+    write_json,
     write_release_csv,
     write_trips_csv,
 )
@@ -161,22 +162,6 @@ def _config_fields(block, table: dict, where: str) -> dict:
     return converted
 
 
-def _read_json(path: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path} is not valid JSON: {exc}") from None
-
-
-def _write_json(path: str, payload) -> None:
-    with open_output(path) as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
 def _budget_from_args(args: argparse.Namespace) -> PrivacyBudget:
     if args.rho is not None and args.epsilon is not None:
         raise ConfigError("give either --rho or --epsilon, not both")
@@ -237,7 +222,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         "support": len(table),
         "total_trips": table.n,
     }
-    _write_json(os.path.join(args.out, "manifest.json"), manifest)
+    write_json(manifest, os.path.join(args.out, "manifest.json"))
     print(
         f"wrote {spec.kind} dataset to {args.out}: {len(table)} populated pairs "
         f"of {table.universe_size} ({table.n} trips)"
@@ -259,7 +244,7 @@ def cmd_release(args: argparse.Namespace) -> int:
 
     write_release_csv(dict(enumerate(rel.tree.levels)), args.out)
     meta_path = args.meta or sidecar_path(args.out, ".meta.json")
-    _write_json(meta_path, rel.metadata())
+    write_json(rel.metadata(), meta_path)
     print(
         f"{args.mechanism}: released {sum(len(v) for v in rel.tree.levels[1:])} values "
         f"(rho={config.budget.rho:.6g}) -> {args.out}, {meta_path}"
@@ -274,27 +259,27 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     meta: dict = {}
     meta_path = args.meta or sidecar_path(args.release, ".meta.json")
     if args.meta or os.path.exists(meta_path):
-        meta = _read_json(meta_path)
+        meta = read_json(meta_path)
         if not isinstance(meta, dict) or not isinstance(meta.get("mechanism", ""), str):
             raise DataError(f"{meta_path} is not a release sidecar object")
 
     mode = meta.get("tree", args.tree)
     truth = build_tree(table, mode)
-    scores = level_scores(truth, released_levels(stored, truth, meta.get("mechanism")))
+    scores = level_scores(truth, released_levels(stored, truth))
 
     with open_output(args.out) as fh:
         fh.write(",".join(EVAL_COLUMNS) + "\n")
         for depth, (error, fdr, nodes) in enumerate(scores):
             fh.write(f"{depth},{error},{fdr:.6f},{nodes}\n")
     json_path = sidecar_path(args.out, ".json")
-    _write_json(json_path, {
+    write_json({
         "schema": "od-eval/1",
         "truth": args.truth,
         "release": args.release,
         "mechanism": meta.get("mechanism"),
         "tree": mode,
         "levels": [dict(zip(EVAL_COLUMNS, (depth, *row))) for depth, row in enumerate(scores)],
-    })
+    }, json_path)
     error, fdr, _ = scores[-1]
     print(
         f"evaluated {args.release}: leaf max error {error}, "
@@ -304,7 +289,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _config_fields(_read_json(args.config), _SWEEP_CONFIG, "sweep config")
+    cfg = _config_fields(read_json(args.config), _SWEEP_CONFIG, "sweep config")
     if ("data" in cfg) == ("synth" in cfg):
         raise ConfigError("give the sweep a 'data' path or a 'synth' block, not both")
     sens = SensitivityModel(**{f.name: cfg.pop(f.name) for f in fields(SensitivityModel)

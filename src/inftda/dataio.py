@@ -1,11 +1,11 @@
 """On-disk formats: hierarchy and trip CSVs, the ingested dataset container,
-and released tables.
+released tables, and JSON files.
 
 Hierarchy CSV: one row per leaf, g columns root-side first, no header.
 Trips CSV: origin,destination[,count]; a missing count means 1; no header.
-Dataset container: a pickled dict of primitives (format tag, leaf paths,
+Dataset container: one compact JSON object (format tag, leaf paths,
 aggregated trips); load rebuilds through the normal constructors so every
-validation rule re-runs.
+validation rule re-runs, and reading it never runs code.
 Release CSV: header depth,origin,destination,flow; tree mechanisms store all
 depths, leaf mechanisms only the leaf depth. Zero values are omitted (they
 read back as absent, which evaluates as zero); a node given twice is a
@@ -15,8 +15,8 @@ DataError.
 from __future__ import annotations
 
 import csv
+import json
 import os
-import pickle
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
@@ -35,9 +35,11 @@ __all__ = [
     "sidecar_path",
     "open_output",
     "make_output_dir",
+    "read_json",
+    "write_json",
 ]
 
-DATASET_FORMAT = "od-dataset/1"
+DATASET_FORMAT = "od-dataset/2"
 
 
 def _read_rows(path: str) -> List[List[str]]:
@@ -49,11 +51,10 @@ def _read_rows(path: str) -> List[List[str]]:
 
 
 @contextmanager
-def open_output(path: str, mode: str = "w"):
-    """Open ``path`` to write; a path that cannot be written is a ConfigError."""
-    text = {"newline": "", "encoding": "utf-8"} if mode == "w" else {}
+def open_output(path: str):
+    """Open ``path`` to write text; a path that cannot be written is a ConfigError."""
     try:
-        with open(path, mode, **text) as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             yield fh
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
@@ -66,6 +67,25 @@ def make_output_dir(path: str) -> None:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def read_json(path: str):
+    """The JSON value in ``path``. A file that cannot be read, or is not JSON
+    (nesting too deep for the parser included), is a DataError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise DataError(f"{path} is not valid JSON: {exc}") from None
+
+
+def write_json(payload, path: str) -> None:
+    """``payload`` as indented JSON plus a final newline."""
+    with open_output(path) as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def read_hierarchy_csv(path: str) -> PartitionHierarchy:
@@ -97,18 +117,13 @@ def save_dataset(table: TripTable, path: str) -> None:
         "dest_paths": [table.dest.path(leaf)[1:] for leaf in table.dest.leaves],
         "trips": sorted((o, d, c) for (o, d), c in table.counts.items()),
     }
-    with open_output(path, "wb") as fh:
-        pickle.dump(payload, fh, protocol=4)
+    with open_output(path) as fh:
+        # built above from strings and ints, so there is no cycle to look for
+        fh.write(json.dumps(payload, separators=(",", ":"), check_circular=False))
 
 
 def load_dataset(path: str) -> TripTable:
-    try:
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    except (pickle.UnpicklingError, EOFError) as exc:
-        raise DataError(f"{path} is not a dataset container: {exc}") from None
+    payload = read_json(path)
     if not isinstance(payload, dict) or payload.get("format") != DATASET_FORMAT:
         raise DataError(f"{path} is not a {DATASET_FORMAT} container")
     for name in ("origin_paths", "dest_paths", "trips"):

@@ -21,9 +21,8 @@ numbers.
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import parallel
@@ -34,7 +33,7 @@ from .baselines import (
     tda_l2,
     vanilla_gauss,
 )
-from .dataio import open_output, sidecar_path
+from .dataio import open_output, sidecar_path, write_json
 from .dpcore import PrivacyBudget, SensitivityModel, derive_seed
 from .errors import ConfigError, DataError
 from .hierarchy import HierTree, Key, TripTable, build_tree
@@ -155,24 +154,30 @@ def false_discovery_rate(
     return 100.0 * false_pos / len(positives)
 
 
-def released_levels(
-    stored: Dict[int, Dict[Key, int]], truth: HierTree, mechanism: Optional[str] = None
-) -> List[Dict[Key, int]]:
-    """One released map per depth of ``truth`` from ``stored`` ({depth: map}),
-    rolled up from the leaves if ``mechanism`` is leaf-only or, unnamed, if the
-    root row is missing (tree releases always store it). A depth outside
-    ``truth`` is a DataError."""
+def released_levels(stored: Dict[int, Dict[Key, int]], truth: HierTree) -> List[Dict[Key, int]]:
+    """One released map per depth of ``truth`` from ``stored`` ({depth: map}).
+
+    A release without a root row is leaf-only (tree releases always store the
+    root, even at 0) and is rolled up from its leaves. A depth outside
+    ``truth``, or a key naming an area that ``truth``'s hierarchies lack at
+    that depth, is a DataError.
+    """
     if stored and not 0 <= min(stored) <= max(stored) <= truth.depth:
         raise DataError(
             f"release holds depths {min(stored)}..{max(stored)} "
             f"but the dataset tree spans 0..{truth.depth}"
         )
-    if mechanism is None:
-        leaf_only = 0 not in stored
-    else:
-        leaf_only = mechanism in MECHANISMS and MECHANISMS[mechanism].leaf_only
-    if leaf_only:
+    if not stored.get(0):
         return aggregate_up(stored.get(truth.depth, {}), truth.origin, truth.dest, truth.mode)
+    for depth, level in stored.items():
+        ol, dl = truth.component_levels(depth)
+        origins, dests = set(truth.origin.areas(ol)), set(truth.dest.areas(dl))
+        for o, d in level:
+            if o not in origins or d not in dests:
+                side, area, at = ("origin", o, ol) if o not in origins else ("destination", d, dl)
+                raise DataError(
+                    f"release depth {depth} names unknown {side} area {area!r} at level {at}"
+                )
     return [stored.get(d, {}) for d in range(truth.depth + 1)]
 
 
@@ -211,7 +216,7 @@ def run_mechanism(
     start = time.perf_counter()
     rel = run_release(mechanism, table, tree.mode, tree, config, universe_cap)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    return released_levels(dict(enumerate(rel.tree.levels)), tree, mechanism), wall_ms
+    return released_levels(dict(enumerate(rel.tree.levels)), tree), wall_ms
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +242,7 @@ def _spread(scores: Sequence[tuple]) -> list:
     return [x for v in zip(*scores) for x in (min(v), sum(v) / len(v), max(v))]
 
 
-CSV_HEADER = (
-    "level,err_min,err_mean,err_max,fdr_min,fdr_mean,fdr_max,"
-    "nodes_min,nodes_mean,nodes_max"
-)
+CSV_HEADER = ",".join(f.name for f in fields(LevelStats))
 
 
 @dataclass
@@ -260,13 +262,11 @@ class EvalReport:
     envelope: Optional[List[float]] = None
 
     def csv_text(self) -> str:
-        lines = [CSV_HEADER]
-        for s in self.levels:
-            lines.append(
-                f"{s.level},{s.err_min},{s.err_mean:.6f},{s.err_max},"
-                f"{s.fdr_min:.6f},{s.fdr_mean:.6f},{s.fdr_max:.6f},"
-                f"{s.nodes_min},{s.nodes_mean:.6f},{s.nodes_max}"
-            )
+        # a float is written with six decimals, an int as it is
+        lines = [CSV_HEADER] + [
+            ",".join(f"{v:.6f}" if isinstance(v, float) else str(v) for v in astuple(s))
+            for s in self.levels
+        ]
         return "\n".join(lines) + "\n"
 
     def json_dict(self) -> dict:
@@ -291,9 +291,7 @@ def write_report(report: EvalReport, csv_path: str) -> None:
     """The report's CSV at ``csv_path`` and its JSON next to it."""
     with open_output(csv_path) as fh:
         fh.write(report.csv_text())
-    with open_output(sidecar_path(csv_path, ".json")) as fh:
-        json.dump(report.json_dict(), fh, indent=2, sort_keys=False)
-        fh.write("\n")
+    write_json(report.json_dict(), sidecar_path(csv_path, ".json"))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ at a time. In destination mode the key at even depth 2l is
 depth 2l+1 splits the destination; the odd-to-even expansion splits the
 origin. Origin mode mirrors this. The tree therefore has depth T = 2g, node
 attributes are trip counts, and every internal node's attribute equals the sum
-over its children (counting queries are consistent by construction).
+over its children (counting queries are consistent by construction). The
+interleaving is stated once, in the ``_steps`` table.
 """
 
 from __future__ import annotations
@@ -235,6 +236,28 @@ def ingest_trips(
     return TripTable(counts, origin, dest)
 
 
+# One refinement of the interleaving: (splits the destination, the level that
+# side reaches, that side's children one level up, its parents at that level).
+Step = Tuple[bool, int, Dict[str, Tuple[str, ...]], Dict[str, str]]
+
+
+def _steps(mode: str, origin: PartitionHierarchy, dest: PartitionHierarchy) -> List[Step]:
+    """The step to each depth k = 1..2g, at index k - 1: k splits the destination
+    when odd in destination mode, when even in origin mode. A mode other than
+    these two, or hierarchies of unequal depth, is a DataError."""
+    if mode not in ("destination", "origin"):
+        raise DataError(f"mode must be 'destination' or 'origin', got {mode!r}")
+    if origin.levels != dest.levels:
+        raise DataError("origin and destination hierarchies must share depth")
+    steps: List[Step] = []
+    for k in range(1, 2 * origin.levels + 1):
+        split_dest = (k % 2 == 1) == (mode == "destination")
+        side = dest if split_dest else origin
+        level = (k + 1) // 2
+        steps.append((split_dest, level, side._children[level - 1], side._parents[level]))
+    return steps
+
+
 class HierTree:
     """Per-depth attribute maps over the interleaved O/D hierarchy.
 
@@ -249,10 +272,7 @@ class HierTree:
         dest: PartitionHierarchy,
         levels: List[Dict[Key, int]],
     ) -> None:
-        if mode not in ("destination", "origin"):
-            raise DataError(f"mode must be 'destination' or 'origin', got {mode!r}")
-        if origin.levels != dest.levels:
-            raise DataError("origin and destination hierarchies must share depth")
+        self._steps = _steps(mode, origin, dest)
         self.mode = mode
         self.origin = origin
         self.dest = dest
@@ -260,16 +280,6 @@ class HierTree:
         if len(levels) != self.depth + 1:
             raise DataError(f"expected {self.depth + 1} level maps, got {len(levels)}")
         self.levels = levels
-        # per parent depth: does it split the destination, and that side's children
-        self._splits = [
-            (True, dest._children[k // 2]) if (k % 2 == 0) == (mode == "destination")
-            else (False, origin._children[k // 2])
-            for k in range(self.depth)
-        ]
-
-    @property
-    def g(self) -> int:
-        return self.origin.levels
 
     @property
     def n(self) -> int:
@@ -279,61 +289,53 @@ class HierTree:
     def component_levels(self, depth: int) -> Tuple[int, int]:
         """(origin level, destination level) of keys at tree depth ``depth``."""
         self._check_depth(depth)
-        if self.mode == "destination":
-            return depth // 2, (depth + 1) // 2
-        return (depth + 1) // 2, depth // 2
-
-    def level_map(self, depth: int) -> Dict[Key, int]:
-        self._check_depth(depth)
-        return self.levels[depth]
+        if depth == 0:
+            return 0, 0
+        split_dest, level, _, _ = self._steps[depth - 1]
+        return (depth - level, level) if split_dest else (level, depth - level)
 
     def child_keys(self, key: Key, depth: int) -> Tuple[Key, ...]:
         """Full child universe of a node, from the hierarchies (not the data)."""
         if not 0 <= depth < self.depth:
             self._check_depth(depth)
             raise DataError("leaf nodes have no children")
-        split_dest, children = self._splits[depth]
+        split_dest, level, children, _ = self._steps[depth]
         o, d = key
         try:
             if split_dest:
                 return tuple([(o, c) for c in children[d]])
             return tuple([(c, d) for c in children[o]])
         except KeyError as exc:
-            raise DataError(f"unknown area {exc.args[0]!r} at level {depth // 2}") from None
+            raise DataError(f"unknown area {exc.args[0]!r} at level {level - 1}") from None
 
     def parent_key(self, key: Key, depth: int) -> Key:
         self._check_depth(depth)
         if depth == 0:
             raise DataError("the root has no parent")
+        split_dest, level, _, up = self._steps[depth - 1]
         o, d = key
-        ol, dl = self.component_levels(depth)
-        # the parent is one un-split step back: undo whichever side depth split
-        split_dest = (depth % 2 == 1) == (self.mode == "destination")
-        if split_dest:
-            return (o, self.dest.parent(dl, d))
-        return (self.origin.parent(ol, o), d)
+        try:
+            return (o, up[d]) if split_dest else (up[o], d)
+        except KeyError as exc:
+            raise DataError(f"unknown area {exc.args[0]!r} at level {level}") from None
 
     def range_query(
         self, origin_area: str, origin_level: int, dest_area: str, dest_level: int
     ) -> int:
         """Count of trips from ``origin_area`` into ``dest_area``.
 
-        Supported level combinations are exactly this tree's node shapes:
+        Supported level pairs are exactly this tree's node shapes:
         intra-level plus the mode's own cross-level direction (destination one
         level finer in destination mode, origin one level finer in origin
         mode). The mirrored tree serves the opposite direction.
         """
-        own, other = (
-            (dest_level, origin_level) if self.mode == "destination" else (origin_level, dest_level)
-        )
-        if own - other not in (0, 1):
+        pair = (origin_level, dest_level)
+        depth = origin_level + dest_level
+        if not 0 <= depth <= self.depth or self.component_levels(depth) != pair:
             raise DataError(
-                f"unsupported level pair ({origin_level}, {dest_level}) in {self.mode} mode; "
+                f"unsupported level pair {pair} in {self.mode} mode; "
                 f"reconstruct from leaf sums instead"
             )
-        depth = own + other
-        if depth > self.depth:
-            raise DataError(f"level pair ({origin_level}, {dest_level}) beyond the leaves")
         if not self.origin.contains(origin_level, origin_area):
             raise DataError(f"unknown origin area {origin_area!r} at level {origin_level}")
         if not self.dest.contains(dest_level, dest_area):
@@ -345,22 +347,14 @@ class HierTree:
             raise DataError(f"depth {depth} outside [0, {self.depth}]")
 
 
-def _sum_into_parents(
-    nodes: Dict[Key, int],
-    depth: int,
-    origin: PartitionHierarchy,
-    dest: PartitionHierarchy,
-    mode: str,
-) -> Dict[Key, int]:
-    """Sum the nodes at ``depth`` (>= 1) into their parents one depth up.
+def _sum_into_parents(nodes: Dict[Key, int], step: Step) -> Dict[Key, int]:
+    """Sum the nodes that ``step`` reached into their parents one depth up.
 
-    Going up undoes the one side that ``depth`` split, so each node costs one
+    Going up undoes the one side that the step split, so each node costs one
     parent lookup on that side. Parents appear in the order of their first
     child; sums that cancel to zero are kept.
     """
-    level = (depth + 1) // 2  # the side this depth split is the finer one
-    split_dest = (depth % 2 == 1) == (mode == "destination")
-    up = (dest if split_dest else origin)._parents[level]
+    split_dest, level, _, up = step
     sums: Dict[Key, int] = {}
     get = sums.get
     try:
@@ -391,11 +385,9 @@ def aggregate_leaf_map(
     at the end, matching the sparse read-as-zero convention (dropping them
     while rolling up would reorder the keys above them).
     """
-    if mode not in ("destination", "origin"):
-        raise DataError(f"mode must be 'destination' or 'origin', got {mode!r}")
     maps = [{key: value for key, value in leaf_values.items() if value != 0}]
-    for depth in range(2 * origin.levels, 0, -1):
-        maps.append(_sum_into_parents(maps[-1], depth, origin, dest, mode))
+    for step in reversed(_steps(mode, origin, dest)):
+        maps.append(_sum_into_parents(maps[-1], step))
     return [{k: v for k, v in m.items() if v != 0} for m in reversed(maps)]
 
 
@@ -421,10 +413,8 @@ def validate_consistency(tree: HierTree) -> List[Tuple[str, str, int]]:
         for (o, d), value in tree.levels[depth].items():
             if value < 0:
                 bad.append((o, d, depth))
-    for depth in range(tree.depth):
-        sums = _sum_into_parents(
-            tree.levels[depth + 1], depth + 1, tree.origin, tree.dest, tree.mode
-        )
+    for depth, step in enumerate(tree._steps):
+        sums = _sum_into_parents(tree.levels[depth + 1], step)
         parent_map = tree.levels[depth]
         for key in set(parent_map) | set(sums):
             if parent_map.get(key, 0) != sums.get(key, 0):

@@ -170,7 +170,7 @@ def release(
 
     def expand(parents: Dict[Key, int], depth: int) -> Dict[Key, int]:
         """The released children at ``depth`` of the positive ``parents``."""
-        true_map = tree.level_map(depth)
+        true_map = tree.levels[depth]
         current: Dict[Key, int] = {}
         for parent_key in sorted(parents):
             total = parents[parent_key]

@@ -29,6 +29,21 @@ def dataset(tmp_path):
     return data
 
 
+@pytest.fixture(scope="module")
+def quickstart(tmp_path_factory):
+    """README.md's command line quick start: its dataset and inftda release."""
+    tmp = tmp_path_factory.mktemp("quickstart")
+    data, release = tmp / "od.bin", tmp / "release.csv"
+    assert run("synth", "--kind", "random", "--sparsity", "sparse", "--seed", "3",
+               "--out", str(tmp / "data")) == 0
+    assert run("ingest", "--hierarchy-o", str(tmp / "data" / "origin_hierarchy.csv"),
+               "--hierarchy-d", str(tmp / "data" / "destination_hierarchy.csv"),
+               "--trips", str(tmp / "data" / "trips.csv"), "--out", str(data)) == 0
+    assert run("release", "--data", str(data), "--mechanism", "inftda", "--epsilon", "1",
+               "--delta", "1e-8", "--seed", "7", "--out", str(release)) == 0
+    return data, release
+
+
 class TestPipeline:
     def test_synth_writes_manifest(self, tmp_path):
         out = tmp_path / "ds"
@@ -231,6 +246,24 @@ class TestExitCodes:
         assert run("evaluate", "--truth", str(dataset), "--release", str(rel),
                    "--out", str(tmp_path / "report.csv")) == 3
 
+    @pytest.mark.parametrize("side", ["origin", "destination"])
+    def test_unknown_area_in_tree_release_is_3(self, quickstart, tmp_path, capsys, side):
+        data, release = quickstart
+        *rows, last = release.read_text().splitlines()
+        depth, o, d, flow = last.split(",")
+        if side == "origin":
+            o = "nowhere"
+        else:
+            d = "nowhere"
+        rel = tmp_path / "release.csv"
+        rel.write_text("\n".join([*rows, f"{depth},{o},{d},{flow}"]) + "\n")
+        (tmp_path / "release.meta.json").write_text(
+            release.with_name("release.meta.json").read_text())
+        capsys.readouterr()
+        assert run("evaluate", "--truth", str(data), "--release", str(rel),
+                   "--out", str(tmp_path / "report.csv")) == 3
+        assert f"depth {depth} names unknown {side} area 'nowhere'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "bad",
         [
@@ -379,6 +412,21 @@ class TestExitCodes:
         capsys.readouterr()
         assert run(*argv) == 3
         assert f"cannot read {bad}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reader", ["sidecar", "sweep"])
+    def test_deeply_nested_json_is_3(self, dataset, tmp_path, capsys, reader):
+        nested, rel = tmp_path / "nested.json", str(tmp_path / "rel.csv")
+        nested.write_text("[" * 100_000)
+        assert run("release", "--data", str(dataset), "--mechanism", "inftda",
+                   "--rho", "1", "--out", rel) == 0
+        argv = {
+            "sidecar": ["evaluate", "--truth", str(dataset), "--release", rel,
+                        "--meta", str(nested), "--out", str(tmp_path / "report.csv")],
+            "sweep": ["sweep", "--config", str(nested)],
+        }[reader]
+        capsys.readouterr()
+        assert run(*argv) == 3
+        assert f"{nested} is not valid JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize("target", ["release-out", "release-meta", "ingest", "evaluate"])
     def test_unwritable_output_is_4(self, dataset, tmp_path, capsys, target):

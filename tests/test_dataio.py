@@ -1,5 +1,6 @@
 """On-disk format round trips and rejection of malformed inputs."""
 
+import json
 import pickle
 
 import pytest
@@ -49,7 +50,7 @@ class TestDatasetContainer:
 
     def test_rejects_wrong_format_tag(self, tmp_path):
         path = tmp_path / "bad.bin"
-        path.write_bytes(pickle.dumps({"format": "something-else"}))
+        path.write_text(json.dumps({"format": "something-else"}))
         with pytest.raises(DataError, match="container"):
             load_dataset(str(path))
 
@@ -59,13 +60,26 @@ class TestDatasetContainer:
         with pytest.raises(DataError):
             load_dataset(str(path))
 
+    def test_pickle_is_rejected_without_running_it(self, tmp_path):
+        marker = tmp_path / "marker"
+
+        class Payload:
+            def __reduce__(self):
+                return (open, (str(marker), "w"))
+
+        path = tmp_path / "old.bin"
+        path.write_bytes(pickle.dumps(Payload()))
+        with pytest.raises(DataError):
+            load_dataset(str(path))
+        assert not marker.exists()
+
     def test_validation_reruns_on_load(self, trip_table, tmp_path):
         # tamper with the stored trips: unknown leaf must be rejected on load
         path = tmp_path / "tampered.bin"
         save_dataset(trip_table, str(path))
-        payload = pickle.loads(path.read_bytes())
-        payload["trips"].append(("ghost", "E.x", 1))
-        path.write_bytes(pickle.dumps(payload))
+        payload = json.loads(path.read_text())
+        payload["trips"].append(["ghost", "E.x", 1])
+        path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match="unknown origin leaf"):
             load_dataset(str(path))
 
@@ -79,12 +93,12 @@ class TestDatasetContainer:
     def test_malformed_fields_are_data_errors(self, trip_table, tmp_path, field, value):
         path = tmp_path / "malformed.bin"
         save_dataset(trip_table, str(path))
-        payload = pickle.loads(path.read_bytes())
+        payload = json.loads(path.read_text())
         if value is None:
             del payload[field]
         else:
             payload[field] = value
-        path.write_bytes(pickle.dumps(payload))
+        path.write_text(json.dumps(payload))
         with pytest.raises(DataError):
             load_dataset(str(path))
 

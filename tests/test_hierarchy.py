@@ -100,7 +100,7 @@ class TestHierTree:
     def test_depth_and_root(self, trip_table):
         tree = build_tree(trip_table)
         assert tree.depth == 4
-        assert tree.g == 2
+        assert tree.origin.levels == 2
         assert tree.n == trip_table.n == 11
         assert tree.mode == "destination"
 
@@ -118,14 +118,14 @@ class TestHierTree:
     def test_true_tree_is_consistent(self, trip_table, mode):
         tree = build_tree(trip_table, mode)
         assert validate_consistency(tree) == []
-        leaf_map = tree.level_map(tree.depth)
+        leaf_map = tree.levels[tree.depth]
         assert leaf_map == trip_table.counts
 
     @pytest.mark.parametrize("mode", ["destination", "origin"])
     def test_child_parent_round_trip(self, trip_table, mode):
         tree = build_tree(trip_table, mode)
         for depth in range(1, tree.depth + 1):
-            for key in tree.level_map(depth):
+            for key in tree.levels[depth]:
                 parent = tree.parent_key(key, depth)
                 assert key in tree.child_keys(parent, depth - 1)
 
@@ -172,6 +172,15 @@ class TestHierTree:
                             with pytest.raises(DataError, match="unsupported"):
                                 tree.range_query(oa, ol, da, dl)
 
+    @pytest.mark.parametrize("mode", ["destination", "origin"])
+    def test_range_query_beyond_the_leaves_is_unsupported(self, trip_table, mode):
+        tree = build_tree(trip_table, mode)
+        # one level past the leaves on the side this mode refines first
+        beyond = (2, 3) if mode == "destination" else (3, 2)
+        for ol, dl in (beyond, (3, 3)):
+            with pytest.raises(DataError, match=r"unsupported level pair \(\d, \d\)"):
+                tree.range_query("N.a", ol, "E.x", dl)
+
     def test_range_query_unknown_area(self, trip_table):
         tree = build_tree(trip_table)
         with pytest.raises(DataError, match="unknown origin"):
@@ -194,8 +203,8 @@ class TestHierTree:
         table = ingest_trips([], origin_hier, dest_hier)
         tree = build_tree(table)
         assert tree.n == 0
-        assert tree.level_map(0) == {(ROOT_AREA, ROOT_AREA): 0}
-        assert all(tree.level_map(d) == {} for d in range(1, 5))
+        assert tree.levels[0] == {(ROOT_AREA, ROOT_AREA): 0}
+        assert all(tree.levels[d] == {} for d in range(1, 5))
         assert validate_consistency(tree) == []
 
 
@@ -215,6 +224,11 @@ class TestAggregation:
     def test_bad_mode_rejected(self, origin_hier, dest_hier):
         with pytest.raises(DataError, match="mode"):
             aggregate_leaf_map({}, origin_hier, dest_hier, "both")
+
+    def test_unequal_depths_rejected(self, origin_hier):
+        shallow = parse_hierarchy([("E",), ("W",)])
+        with pytest.raises(DataError, match="share depth"):
+            aggregate_leaf_map({}, origin_hier, shallow, "destination")
 
     @pytest.mark.parametrize("mode", ["destination", "origin"])
     @pytest.mark.parametrize(

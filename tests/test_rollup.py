@@ -101,6 +101,26 @@ def test_validate_consistency_matches_oracle(instance, data):
         assert validate_consistency(tree) == oracle_validate(tree)
 
 
+@settings(max_examples=100, deadline=None)
+@given(instances())
+def test_tree_steps_match_the_leaf_path_walk(instance):
+    # every depth-k ancestor of a leaf pair is (path_o[ol], path_d[dl]) with
+    # (ol, dl) = component_levels(k), and parent_key and child_keys agree on it
+    origin, dest, _ = instance
+    for mode in MODES:
+        tree = HierTree(mode, origin, dest, [{} for _ in range(2 * origin.levels + 1)])
+        for o in origin.leaves:
+            for d in dest.leaves:
+                walk = [next(iter(m)) for m in oracle_aggregate({(o, d): 1}, origin, dest, mode)]
+                po, pd = origin.path(o), dest.path(d)
+                for k, key in enumerate(walk):
+                    ol, dl = tree.component_levels(k)
+                    assert key == (po[ol], pd[dl])
+                    if k:
+                        assert tree.parent_key(key, k) == walk[k - 1]
+                        assert key in tree.child_keys(walk[k - 1], k - 1)
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_cancelling_first_child_keeps_parent_order(mode):
     # leaf ("0", "0") and ("1", "0") cancel under origin area "0"; the oracle

@@ -41,14 +41,14 @@ class TestRelease:
         assert validate_consistency(rel.tree) == []
         assert rel.tree.n == trip_table.n  # bounded mode keeps the exact total
         for depth in range(1, rel.tree.depth + 1):
-            assert all(v > 0 for v in rel.tree.level_map(depth).values())
+            assert all(v > 0 for v in rel.tree.levels[depth].values())
 
     def test_no_orphans(self, trip_table, budget):
         rel = release(build_tree(trip_table), ReleaseConfig(budget=budget, seed=1))
         for depth in range(1, rel.tree.depth + 1):
-            for key in rel.tree.level_map(depth):
+            for key in rel.tree.levels[depth]:
                 parent = rel.tree.parent_key(key, depth)
-                assert rel.tree.level_map(depth - 1).get(parent, 0) > 0
+                assert rel.tree.levels[depth - 1].get(parent, 0) > 0
 
     def test_high_budget_recovers_the_truth(self, trip_table):
         tree = build_tree(trip_table)
@@ -77,7 +77,7 @@ class TestRelease:
         table = ingest_trips([], origin_hier, dest_hier)
         rel = release(build_tree(table), ReleaseConfig(budget=budget, seed=0))
         assert rel.tree.n == 0
-        assert all(rel.tree.level_map(d) == {} for d in range(1, rel.tree.depth + 1))
+        assert all(rel.tree.levels[d] == {} for d in range(1, rel.tree.depth + 1))
 
     def test_per_level_bookkeeping(self, trip_table, budget):
         rel = release(build_tree(trip_table), ReleaseConfig(budget=budget, seed=0))
