@@ -5,15 +5,16 @@ stability histogram over the populated cells only) and one tree mechanism
 (the same top-down descent with a Euclidean projection instead of the
 Chebyshev solver). The leaf mechanisms return their released leaf map;
 ``aggregate_up`` rolls it into per-depth maps so all mechanisms are comparable
-level by level.
+level by level. The Euclidean solve runs on plain-Python floats and is
+bit-identical to the frozen oracle in ``tests/l2_oracle.py``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, List, Sequence
-
-import numpy as np
 
 from .dpcore import (
     PrivacyBudget,
@@ -95,36 +96,40 @@ def stability_histogram(
     return values
 
 
-def _project_to_simplex(x: np.ndarray, total: int) -> np.ndarray:
+def _project_to_simplex(x: Sequence[float], total: int) -> List[float]:
     """Euclidean projection onto {y >= 0, sum(y) = total}."""
     if total == 0:
-        return np.zeros_like(x, dtype=float)
-    u = np.sort(x)[::-1]
-    shifted = (np.cumsum(u) - total) / np.arange(1, len(x) + 1)
-    support = int(np.count_nonzero(u > shifted))
-    tau = shifted[support - 1]
-    return np.maximum(x - tau, 0.0)
+        return [0.0] * len(x)
+    u = sorted(x, reverse=True)
+    shifted = [(c - total) / k for k, c in enumerate(accumulate(u), 1)]
+    # the count of u > shifted, not the last index where it holds
+    tau = shifted[sum(a > s for a, s in zip(u, shifted)) - 1]
+    return [max(v - tau, 0.0) for v in x]
 
 
-def _round_preserving_sum(y: np.ndarray, total: int) -> List[int]:
+def _round_preserving_sum(y: Sequence[float], total: int) -> List[int]:
     # floor everything, then hand the remainder to the largest fractional
-    # parts; ties break by ascending index
-    floors = np.floor(y).astype(np.int64)
-    remainder = int(total - floors.sum())
+    # parts; ties break by ascending index (a stable sort keeps it under reverse)
+    floors = [math.floor(v) for v in y]
+    remainder = total - sum(floors)
     if remainder:
-        fractions = y - floors
-        order = np.lexsort((np.arange(len(y)), -fractions))
-        floors[order[:remainder]] += 1
-    return [int(v) for v in floors]
+        by_fraction = sorted(range(len(y)), key=lambda i: y[i] - floors[i], reverse=True)
+        for i in by_fraction[:remainder]:
+            floors[i] += 1
+    return floors
 
 
 def _euclidean_solver(noisy: Sequence[int], total: int, order: str, rng) -> Sequence[int]:
+    """Project ``noisy`` onto {y >= 0, sum = total} and round, keeping the sum.
+
+    Plain-Python floats, in the same order of operations as the solve as first
+    written (frozen in ``tests/l2_oracle.py``), so every output is bit-identical.
+    """
     if len(noisy) == 2:
         # clamp((a - b + total) / 2, 0, total); the index tie-break rounds a half up
         first = min(max(-((noisy[1] - noisy[0] - total) // 2), 0), total)
         return [first, total - first]
-    projected = _project_to_simplex(np.asarray(noisy, dtype=float), total)
-    return _round_preserving_sum(projected, total)
+    return _round_preserving_sum(_project_to_simplex([float(v) for v in noisy], total), total)
 
 
 def tda_l2(tree: HierTree, config: ReleaseConfig) -> DPRelease:

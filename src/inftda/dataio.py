@@ -123,9 +123,16 @@ def save_dataset(table: TripTable, path: str) -> None:
 
 
 def load_dataset(path: str) -> TripTable:
-    payload = read_json(path)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    except (ValueError, RecursionError):  # not UTF-8 JSON, like the older pickles
+        payload = None
     if not isinstance(payload, dict) or payload.get("format") != DATASET_FORMAT:
-        raise DataError(f"{path} is not a {DATASET_FORMAT} container")
+        raise DataError(f"{path} is not an {DATASET_FORMAT} container; one written by "
+                        f"an older inftda must be re-ingested from its CSVs")
     for name in ("origin_paths", "dest_paths", "trips"):
         rows = payload.get(name)
         if not isinstance(rows, list) or not all(isinstance(r, (list, tuple)) for r in rows):

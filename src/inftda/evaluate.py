@@ -92,6 +92,12 @@ MECHANISMS: Dict[str, Mechanism] = {
 }
 
 
+def _mechanism(name: str) -> Mechanism:
+    if name not in MECHANISMS:
+        raise ConfigError(f"unknown mechanism {name!r}; pick one of {tuple(MECHANISMS)}")
+    return MECHANISMS[name]
+
+
 def run_release(
     name: str,
     table: TripTable,
@@ -105,9 +111,7 @@ def run_release(
     ``tree`` may be None for a leaf-only mechanism. Its leaf map comes back,
     not rolled up, as a release holding the leaf depth alone.
     """
-    if name not in MECHANISMS:
-        raise ConfigError(f"unknown mechanism {name!r}; pick one of {tuple(MECHANISMS)}")
-    entry = MECHANISMS[name]
+    entry = _mechanism(name)
     if entry.order is not None:
         config = replace(config, order=entry.order)
     start = time.perf_counter()
@@ -158,9 +162,9 @@ def released_levels(stored: Dict[int, Dict[Key, int]], truth: HierTree) -> List[
     """One released map per depth of ``truth`` from ``stored`` ({depth: map}).
 
     A release without a root row is leaf-only (tree releases always store the
-    root, even at 0) and is rolled up from its leaves. A depth outside
-    ``truth``, or a key naming an area that ``truth``'s hierarchies lack at
-    that depth, is a DataError.
+    root, even at 0) and is rolled up from its leaves; rows at any other depth
+    make it a DataError. So is a depth outside ``truth``, or a key naming an
+    area that ``truth``'s hierarchies lack at that depth.
     """
     if stored and not 0 <= min(stored) <= max(stored) <= truth.depth:
         raise DataError(
@@ -168,6 +172,10 @@ def released_levels(stored: Dict[int, Dict[Key, int]], truth: HierTree) -> List[
             f"but the dataset tree spans 0..{truth.depth}"
         )
     if not stored.get(0):
+        inner = sorted(d for d, level in stored.items() if level and d != truth.depth)
+        if inner:
+            raise DataError(f"release has no root row but holds depths {inner}; "
+                            f"only a leaf-only release (depth {truth.depth} alone) may omit it")
         return aggregate_up(stored.get(truth.depth, {}), truth.origin, truth.dest, truth.mode)
     for depth, level in stored.items():
         ol, dl = truth.component_levels(depth)
@@ -317,8 +325,8 @@ def run_experiment(
     Repeat r of every cell uses the seed derived from (seed, r), so a per-seed
     comparison across mechanisms or epsilons is paired. ``branching`` adds the
     theoretical per-level error envelope to the JSON payload of each tree
-    mechanism (regular synthetic trees only). Every budget and envelope is
-    computed before any job runs, so a bad parameter fails first.
+    mechanism (regular synthetic trees only). Every mechanism name, budget and
+    envelope is checked before any job runs, so a bad parameter fails first.
 
     Each repeat of each cell is one job. The jobs are dealt round-robin into
     min(W, jobs) groups for ``parallel.run_split``, with W the usable CPUs; a
@@ -326,6 +334,8 @@ def run_experiment(
     """
     if repeats < 1:
         raise ConfigError("repeats must be >= 1")
+    for name in mechanisms:
+        _mechanism(name)
     tree = build_tree(table, mode)
     repeat_seeds = [derive_seed(seed, "repeat", r) for r in range(repeats)]
     cells = []

@@ -76,23 +76,6 @@ class PartitionHierarchy:
             return area == ROOT_AREA
         return area in self._parents[level]
 
-    def children(self, level: int, area: str) -> Tuple[str, ...]:
-        """Children (at level+1) of ``area`` at ``level``; sorted, stable."""
-        if not 0 <= level < self.levels:
-            raise DataError(f"no children below level {level} (hierarchy depth {self.levels})")
-        try:
-            return self._children[level][area]
-        except KeyError:
-            raise DataError(f"unknown area {area!r} at level {level}") from None
-
-    def parent(self, level: int, area: str) -> str:
-        if not 1 <= level <= self.levels:
-            raise DataError(f"level {level} has no parent level")
-        try:
-            return self._parents[level][area]
-        except KeyError:
-            raise DataError(f"unknown area {area!r} at level {level}") from None
-
     def path(self, leaf: str) -> Tuple[str, ...]:
         """Ancestor chain of a leaf, root first: (ROOT_AREA, a_1, ..., a_g)."""
         if leaf not in self._parents[self.levels]:
@@ -102,15 +85,6 @@ class PartitionHierarchy:
             chain.append(self._parents[level][chain[-1]])
         chain.reverse()
         return tuple(chain)
-
-    def subtree_leaves(self, level: int, area: str) -> Tuple[str, ...]:
-        """All leaves under ``area`` at ``level``."""
-        if not self.contains(level, area):
-            raise DataError(f"unknown area {area!r} at level {level}")
-        frontier = [area]
-        for lvl in range(level, self.levels):
-            frontier = [c for a in frontier for c in self._children[lvl][a]]
-        return tuple(frontier)
 
     def _check_level(self, level: int) -> None:
         if not 0 <= level <= self.levels:

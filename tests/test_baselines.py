@@ -2,7 +2,6 @@
 
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +20,7 @@ from inftda import (
     vanilla_gauss,
 )
 from inftda.baselines import _euclidean_solver, _project_to_simplex, _round_preserving_sum
+from l2_oracle import euclidean_solve as oracle_solve
 
 
 @pytest.fixture(scope="module")
@@ -94,12 +94,12 @@ class TestStabilityHistogram:
 
 class TestSimplexProjection:
     def test_worked_example(self):
-        projected = _project_to_simplex(np.array([0.0, -1.0, 1.0]), 2)
-        assert np.allclose(projected, [0.5, 0.0, 1.5])
+        projected = _project_to_simplex([0.0, -1.0, 1.0], 2)
+        assert projected == pytest.approx([0.5, 0.0, 1.5])
         assert _round_preserving_sum(projected, 2) == [1, 0, 1]
 
     def test_zero_total(self):
-        assert list(_project_to_simplex(np.array([3.0, -2.0]), 0)) == [0.0, 0.0]
+        assert _project_to_simplex([3.0, -2.0], 0) == [0.0, 0.0]
 
     @given(
         x=st.lists(st.floats(min_value=-20, max_value=20), min_size=1, max_size=6),
@@ -107,18 +107,17 @@ class TestSimplexProjection:
     )
     @settings(max_examples=200)
     def test_projection_is_the_nearest_feasible_point(self, x, total):
-        arr = np.asarray(x)
-        y = _project_to_simplex(arr, total)
-        assert y.min() >= 0
-        assert y.sum() == pytest.approx(total, abs=1e-6)
+        y = _project_to_simplex(x, total)
+        assert min(y) >= 0
+        assert sum(y) == pytest.approx(total, abs=1e-6)
         # no feasible competitor may sit closer (convexity makes this a
         # sufficient certificate when sampled densely)
         rng = random.Random(7)
-        dist = float(((arr - y) ** 2).sum())
+        dist = sum((a - b) ** 2 for a, b in zip(x, y))
         for _ in range(25):
-            raw = np.array([rng.random() for _ in x])
-            z = total * raw / raw.sum() if raw.sum() else raw
-            competitor = float(((arr - z) ** 2).sum())
+            raw = [rng.random() for _ in x]
+            z = [total * r / sum(raw) for r in raw] if sum(raw) else raw
+            competitor = sum((a - b) ** 2 for a, b in zip(x, z))
             assert dist <= competitor + 1e-6
 
     @given(
@@ -127,28 +126,56 @@ class TestSimplexProjection:
     )
     @settings(max_examples=200)
     def test_rounding_preserves_sum_and_stays_within_one(self, x, total):
-        y = _project_to_simplex(np.asarray(x), total)
+        y = _project_to_simplex(x, total)
         rounded = _round_preserving_sum(y, total)
         assert sum(rounded) == total
         assert all(abs(r - v) < 1.0 + 1e-9 for r, v in zip(rounded, y))
 
     def test_rounding_ties_break_by_index(self):
-        assert _round_preserving_sum(np.array([0.5, 0.5, 1.0]), 3) == [1, 1, 1]
-        assert _round_preserving_sum(np.array([0.5, 0.5, 0.0]), 2) == [1, 1, 0]
+        assert _round_preserving_sum([0.5, 0.5, 1.0], 3) == [1, 1, 1]
+        assert _round_preserving_sum([0.5, 0.5, 0.0], 2) == [1, 1, 0]
+
+
+def oracle_cases(count, seed):
+    """Seeded (noisy children, parent total) pairs for every fan-out but two."""
+    rng = random.Random(seed)
+    for i in range(count):
+        d = rng.choice((1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12))
+        kind = i % 4
+        if kind == 0:  # wide values
+            x = [rng.randint(-2**50, 2**50) for _ in range(d)]
+            total = rng.randint(0, 2**50)
+        elif kind == 1:  # a small range: ties in the values and in the fractions
+            x = [rng.randint(-3, 3) for _ in range(d)]
+            total = rng.randint(0, 12)
+        elif kind == 2:  # a small range near 2**50, where the running sum rounds
+            offset = rng.choice((-1, 1)) * rng.randint(2**49, 2**50 - 3)
+            x = [offset + rng.randint(-3, 3) for _ in range(d)]
+            total = rng.randint(0, 20)
+        else:
+            x = [rng.randint(-10**6, 10**6) for _ in range(d)]
+            total = rng.randint(0, 10**6)
+        yield x, 0 if i % 23 == 0 else total
+
+
+class TestEuclideanSolver:
+    def test_matches_the_frozen_oracle(self):
+        # the tie and rounding cases also catch a reversed index tie-break
+        # and a support counted with >= instead of >
+        mismatches = [
+            (x, total) for x, total in oracle_cases(100_000, seed=11)
+            if _euclidean_solver(x, total, "ascending", None) != oracle_solve(x, total)
+        ]
+        assert mismatches == []
 
 
 class TestTwoChildSolver:
-    @staticmethod
-    def projected_and_rounded(a, b, total):
-        projected = _project_to_simplex(np.array([a, b], dtype=float), total)
-        return _round_preserving_sum(projected, total)
-
     def test_equals_projection_and_rounding_on_a_grid(self):
         for a in range(-15, 16):
             for b in range(-15, 16):
                 for total in range(41):
                     assert _euclidean_solver((a, b), total, "ascending", None) == (
-                        self.projected_and_rounded(a, b, total)
+                        oracle_solve([a, b], total)
                     ), (a, b, total)
 
     def test_equals_projection_and_rounding_on_large_values(self):
@@ -158,7 +185,7 @@ class TestTwoChildSolver:
             a, b = rng.randint(-2**50, 2**50), rng.randint(-2**50, 2**50)
             total = 0 if i % 10 == 0 else rng.randint(0, 2**50)
             assert _euclidean_solver((a, b), total, "ascending", None) == (
-                self.projected_and_rounded(a, b, total)
+                oracle_solve([a, b], total)
             ), (a, b, total)
 
 

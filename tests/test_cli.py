@@ -1,9 +1,13 @@
 """End-to-end command line pipeline and exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import inftda
 from inftda import cli, evaluate
 from inftda.cli import main
 
@@ -219,6 +223,22 @@ class TestExitCodes:
         assert run("release", "--data", str(dataset), "--mechanism", mechanism,
                    *budget, "--out", str(tmp_path / "x.csv")) == 4
         assert "the budget rho=" in capsys.readouterr().err
+
+    def test_tree_release_without_its_root_row_is_3(self, quickstart, tmp_path, capsys):
+        # only a leaf-only release may omit the root; any other depth left
+        # behind would be ignored by the roll-up from the leaves
+        data, release = quickstart
+        header, *rows = release.read_text().splitlines()
+        kept = [r.rsplit(",", 1)[0] + ",999999" if r.startswith("2,") else r
+                for r in rows if not r.startswith("0,")]
+        rel = tmp_path / "release.csv"
+        rel.write_text("\n".join([header, *kept]) + "\n")
+        (tmp_path / "release.meta.json").write_text(
+            release.with_name("release.meta.json").read_text())
+        capsys.readouterr()
+        assert run("evaluate", "--truth", str(data), "--release", str(rel),
+                   "--out", str(tmp_path / "report.csv")) == 3
+        assert "no root row but holds depths [1, 2, 3, 4, 5, 6, 7]" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "bad", [{"epsilons": [0.0]}, {"epsilons": ["inf"]}, {"delta": 2.0}, {"m": 0}],
@@ -465,3 +485,12 @@ class TestExitCodes:
                    "--out", str(tmp_path / "report.csv")) == 3
         assert "duplicate release row ['0', '__all__', '__all__', '999999']" in (
             capsys.readouterr().err)
+
+
+def test_package_imports_without_numpy():
+    # the package has no runtime dependency; numpy serves the tests alone
+    src = os.path.dirname(os.path.dirname(inftda.__file__))
+    code = "import sys, inftda, inftda.cli; assert 'numpy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

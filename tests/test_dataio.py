@@ -69,7 +69,8 @@ class TestDatasetContainer:
 
         path = tmp_path / "old.bin"
         path.write_bytes(pickle.dumps(Payload()))
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="not an od-dataset/2 container; one written by "
+                           "an older inftda must be re-ingested from its CSVs"):
             load_dataset(str(path))
         assert not marker.exists()
 

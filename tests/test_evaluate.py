@@ -21,6 +21,7 @@ from inftda import (
     run_mechanism,
     write_report,
 )
+from inftda import evaluate
 from inftda.evaluate import run_release
 
 
@@ -164,6 +165,16 @@ class TestRunExperiment:
         a = run_experiment(experiment_table, **kwargs)
         b = run_experiment(experiment_table, **kwargs)
         assert a[0].csv_text() == b[0].csv_text()
+
+    def test_unknown_mechanism_fails_before_any_release(self, experiment_table, forks,
+                                                        monkeypatch):
+        def no_release(*args, **kwargs):
+            raise AssertionError("a release ran")
+
+        monkeypatch.setattr(evaluate, "release", no_release)
+        with pytest.raises(ConfigError, match="unknown mechanism 'nope'"):
+            run_experiment(experiment_table, mechanisms=["inftda", "tda-l2", "nope"], repeats=4)
+        assert forks.count == 0
 
     def test_validation(self, experiment_table):
         with pytest.raises(ConfigError):

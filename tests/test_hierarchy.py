@@ -16,18 +16,20 @@ from inftda import (
 
 
 class TestParseHierarchy:
-    def test_structure(self, origin_hier):
+    def test_structure(self, origin_hier, dest_hier):
         h = origin_hier
         assert h.levels == 2
         assert h.areas(0) == (ROOT_AREA,)
         assert h.areas(1) == ("N", "S")
         assert h.leaves == ("N.a", "N.b", "S.c")
-        assert h.children(0, ROOT_AREA) == ("N", "S")
-        assert h.children(1, "N") == ("N.a", "N.b")
-        assert h.parent(2, "N.a") == "N"
+        # in origin mode depths 1 and 3 split the origin, in sorted order
+        tree = HierTree("origin", h, dest_hier, [{} for _ in range(5)])
+        assert tree.child_keys((ROOT_AREA, ROOT_AREA), 0) == (("N", ROOT_AREA), ("S", ROOT_AREA))
+        assert tree.child_keys(("N", "E"), 2) == (("N.a", "E"), ("N.b", "E"))
+        assert h.path("N.a") == (ROOT_AREA, "N", "N.a")
         assert h.path("N.b") == (ROOT_AREA, "N", "N.b")
-        assert h.subtree_leaves(1, "N") == ("N.a", "N.b")
-        assert h.subtree_leaves(0, ROOT_AREA) == h.leaves
+        assert [leaf for leaf in h.leaves if h.path(leaf)[1] == "N"] == ["N.a", "N.b"]
+        assert all(h.path(leaf)[0] == ROOT_AREA for leaf in h.leaves)
         assert h.contains(1, "S") and not h.contains(1, "S.c")
 
     def test_rejects_empty_input(self):
@@ -50,11 +52,12 @@ class TestParseHierarchy:
         with pytest.raises(DataError, match="duplicate leaf"):
             parse_hierarchy([("A", "A.1"), ("A", "A.1")])
 
-    def test_unknown_lookups_raise(self, origin_hier):
-        with pytest.raises(DataError):
-            origin_hier.children(1, "Z")
-        with pytest.raises(DataError):
-            origin_hier.parent(0, ROOT_AREA)
+    def test_unknown_lookups_raise(self, origin_hier, dest_hier):
+        tree = HierTree("origin", origin_hier, dest_hier, [{} for _ in range(5)])
+        with pytest.raises(DataError, match="unknown area 'Z' at level 1"):
+            tree.child_keys(("Z", "E"), 2)
+        with pytest.raises(DataError, match="the root has no parent"):
+            tree.parent_key((ROOT_AREA, ROOT_AREA), 0)
         with pytest.raises(DataError):
             origin_hier.path("Z")
         with pytest.raises(DataError):
@@ -89,8 +92,9 @@ class TestIngestTrips:
 
 def brute_range_count(table, origin_area, origin_level, dest_area, dest_level):
     """Independent oracle: sum raw counts over the two leaf subtrees."""
-    o_leaves = set(table.origin.subtree_leaves(origin_level, origin_area))
-    d_leaves = set(table.dest.subtree_leaves(dest_level, dest_area))
+    origin, dest = table.origin, table.dest
+    o_leaves = {o for o in origin.leaves if origin.path(o)[origin_level] == origin_area}
+    d_leaves = {d for d in dest.leaves if dest.path(d)[dest_level] == dest_area}
     return sum(
         c for (o, d), c in table.counts.items() if o in o_leaves and d in d_leaves
     )

@@ -1,6 +1,7 @@
 """Synthetic benchmark dataset generation."""
 
 import math
+from collections import Counter
 
 import pytest
 
@@ -33,6 +34,13 @@ class TestSynthSpec:
             SynthSpec(**kwargs)
 
 
+def arities(hier, level):
+    """{area at ``level``: its child count}, read off the leaf paths."""
+    arity = Counter(up for up, _ in {hier.path(leaf)[level:level + 2] for leaf in hier.leaves})
+    assert sorted(arity) == sorted(hier.areas(level))
+    return arity
+
+
 class TestPartitions:
     def test_binary_shape(self):
         spec = SynthSpec(kind="binary", levels=4)
@@ -40,8 +48,7 @@ class TestPartitions:
         assert hier.levels == 4
         assert len(hier.leaves) == 16
         for level in range(4):
-            for area in hier.areas(level):
-                assert len(hier.children(level, area)) == 2
+            assert set(arities(hier, level).values()) == {2}
 
     def test_binary_is_seed_independent(self):
         spec = SynthSpec(kind="binary", levels=3)
@@ -54,8 +61,7 @@ class TestPartitions:
         hier = gen_partition(spec, 7, "origin")
         assert hier.levels == 3
         for level in range(3):
-            for area in hier.areas(level):
-                assert 2 <= len(hier.children(level, area)) <= 5
+            assert all(2 <= k <= 5 for k in arities(hier, level).values())
 
     def test_random_sides_draw_independently(self):
         spec = SynthSpec(kind="random", levels=2)
