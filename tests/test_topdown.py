@@ -1,6 +1,7 @@
 """The top-down release engine and its error envelope."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -9,11 +10,14 @@ from inftda import (
     PrivacyBudget,
     ReleaseConfig,
     SensitivityModel,
+    SynthSpec,
     build_tree,
+    gen_dataset,
     release,
     theoretical_error_envelope,
     validate_consistency,
 )
+from inftda import topdown
 
 # from the same oracle run as the dpcore frozen constants (T=16, b=2,
 # eps=1, delta=1e-8, beta=0.01)
@@ -104,7 +108,7 @@ class TestRelease:
             (1e12, "bounded", 1, "per-level sigma2"),  # snaps to 0
             (1e-320, "bounded", 1, "per-level sigma2"),  # infinite
             (1e-320, "unbounded", 1, "per-level sigma2"),
-            (1e10, "unbounded", 4, "root sigma2"),  # per-level 8e-10 snaps to 1e-9, root 4e-10 to 0
+            (1e-307, "unbounded", 4, "root sigma2"),  # per-level 1e308, root infinite
         ],
     )
     def test_unusable_snapped_variance_is_a_config_error(self, trip_table, rho, privacy, m, what):
@@ -113,9 +117,64 @@ class TestRelease:
         with pytest.raises(ConfigError, match=f"the budget rho={rho!r} gives the {what}"):
             release(build_tree(trip_table), config)
 
+    @pytest.mark.parametrize("distinct", [True, False])
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    @pytest.mark.parametrize("privacy", ["bounded", "unbounded"])
+    def test_release_spends_exactly_its_budget(self, origin_hier, dest_hier, monkeypatch,
+                                               budget, privacy, m, distinct):
+        # the variances the release samples with, charged GS2^2 / (2 sigma2)
+        # per level and m^2 / (2 sigma2) for the unbounded root; the counts are
+        # large enough that a noisy root is never 0, so every level is drawn
+        from inftda import ingest_trips
+
+        trips = [("N.a", "E.x", 3000), ("N.b", "W.z", 2000), ("S.c", "E.y", 5000)]
+        drawn = {"root": [], "levels": set()}
+        sample = topdown.sample_discrete_gaussian
+
+        def recording(sigma2, rng, size=None):
+            if size is None:
+                drawn["root"].append(sigma2)
+            else:
+                drawn["levels"].add(sigma2)
+            return sample(sigma2, rng, size)
+
+        monkeypatch.setattr(topdown, "sample_discrete_gaussian", recording)
+        sens = SensitivityModel(privacy, m, distinct)
+        tree = build_tree(ingest_trips(trips, origin_hier, dest_hier))
+        release(tree, ReleaseConfig(budget=budget, sensitivity=sens, seed=0))
+        (sigma2,) = drawn["levels"]
+        assert len(drawn["root"]) == (privacy == "unbounded")
+        spent = tree.depth * Fraction(sens.gs2_squared) / (2 * sigma2)
+        spent += sum(Fraction(m * m) / (2 * root) for root in drawn["root"])
+        rho = Fraction(budget.rho)
+        assert rho * (1 - Fraction(1, 10**9)) <= spent <= rho
+
     def test_invalid_order_rejected(self, budget):
         with pytest.raises(ConfigError, match="order"):
             ReleaseConfig(budget=budget, order="sideways")
+
+
+@pytest.fixture(scope="module")
+def binary_tree():
+    return build_tree(gen_dataset(SynthSpec(kind="binary"), seed=0))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_binary_fixture_release_derives_127_streams(binary_tree, forks, monkeypatch, seed):
+    # one stream per parent at depths 0-5, then one per block: the 64 nodes at
+    # depth 6 form the frontier
+    forks.cpus(1)
+    tokens = []
+    derive = topdown.substream
+
+    def counting(*args):
+        tokens.append(args[1:3])
+        return derive(*args)
+
+    monkeypatch.setattr(topdown, "substream", counting)
+    release(binary_tree, ReleaseConfig(budget=PrivacyBudget.from_eps_delta(1.0, 1e-8), seed=seed))
+    assert len(tokens) == 127
+    assert tokens.count(("block", 6)) == 64
 
 
 class TestEnvelope:
