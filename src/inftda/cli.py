@@ -45,7 +45,7 @@ from .evaluate import (
     run_release,
     write_report,
 )
-from .hierarchy import build_tree
+from .hierarchy import HierTree, build_tree, validate_consistency
 from .synth import SPARSITY_NAMES, SynthSpec, gen_dataset, gen_flows, gen_partition
 from .topdown import ReleaseConfig
 
@@ -265,7 +265,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     mode = meta.get("tree", args.tree)
     truth = build_tree(table, mode)
-    scores = level_scores(truth, released_levels(stored, truth))
+    released = released_levels(stored, truth)
+    if stored.get(0):
+        # a tree release: a truncated or edited one would score as if whole
+        bad = validate_consistency(HierTree(mode, truth.origin, truth.dest, released))
+        if bad:
+            raise DataError(
+                f"{args.release} is not a consistent tree release: {len(bad)} violation(s) "
+                f"of non-negativity or parent = sum of children, the first at "
+                f"(origin, destination, depth) {bad[0]}"
+            )
+    scores = level_scores(truth, released)
 
     with open_output(args.out) as fh:
         fh.write(",".join(EVAL_COLUMNS) + "\n")

@@ -155,6 +155,18 @@ class SensitivityModel:
         base = self.m if self.distinct else self.m * self.m
         return 2 * base if self.privacy == "bounded" else base
 
+    @property
+    def level_gs2_squared(self) -> int:
+        """Squared L2 sensitivity charged to every level of a top-down release.
+
+        A node above the leaves sums many pairs, so all m of one user's trips
+        can land in one node even when they are distinct: 2m^2 bounded, m^2
+        unbounded, the non-distinct leaf value. ``distinct`` discounts leaf
+        cells alone (``gs2_squared``, which the flat Gaussian release uses).
+        """
+        base = self.m * self.m
+        return 2 * base if self.privacy == "bounded" else base
+
 
 def rho_shares(sens: SensitivityModel, depth: int) -> int:
     """S, the equal shares of rho in a depth-``depth`` top-down release: one
@@ -165,13 +177,14 @@ def rho_shares(sens: SensitivityModel, depth: int) -> int:
 def per_level_sigma2(budget: PrivacyBudget, sens: SensitivityModel, depth: int) -> float:
     """Per-level discrete Gaussian variance for a depth-``depth`` top-down release.
 
-    sigma2 = GS2^2 * S / (2 * rho) with S = ``rho_shares``: each level then
-    costs rho/S and the full composition consumes exactly ``budget.rho``. For
-    the default bounded m=1 distinct model (GS2^2 = 2) this is depth/rho.
+    sigma2 = GS2^2 * S / (2 * rho) with GS2^2 = ``level_gs2_squared`` and
+    S = ``rho_shares``: each level then costs rho/S and the full composition
+    consumes exactly ``budget.rho``. For the default bounded m=1 model
+    (GS2^2 = 2) this is depth/rho.
     """
     if depth < 1:
         raise ConfigError("depth must be >= 1")
-    return sens.gs2_squared * rho_shares(sens, depth) / (2.0 * budget.rho)
+    return sens.level_gs2_squared * rho_shares(sens, depth) / (2.0 * budget.rho)
 
 
 def snap_parameter(numerator: int, denominator: float, what: str,

@@ -23,6 +23,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import astuple, dataclass, field, fields, replace
+from functools import partial
+from itertools import chain, compress, repeat
+from operator import lt, not_, sub
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import parallel
@@ -127,18 +130,28 @@ def run_release(
 
 # ---------------------------------------------------------------------------
 # metrics
+#
+# Each score is a chain of C-level iterator passes over one depth's maps, one
+# pass per side, so no Python frame runs per key.
+
+_positive = partial(lt, 0)  # v -> 0 < v
 
 
 def max_abs_error_per_level(
     true_tree: HierTree, released_levels: Sequence[Dict[Key, int]]
 ) -> List[int]:
-    """Max |true - released| per depth, over the union of both supports."""
+    """Max |true - released| per depth, over the union of both supports.
+
+    Two passes per depth, no union set: the released keys against the truth,
+    then the true values at the keys the release lacks.
+    """
     out: List[int] = []
     for depth in range(true_tree.depth + 1):
         t = true_tree.levels[depth]
         r = released_levels[depth] if depth < len(released_levels) else {}
-        keys = t.keys() | r.keys()
-        out.append(max((abs(t.get(k, 0) - r.get(k, 0)) for k in keys), default=0))
+        released = map(sub, map(t.get, r, repeat(0)), r.values())
+        missed = compress(t.values(), map(not_, map(r.__contains__, t)))
+        out.append(max(map(abs, chain(released, missed)), default=0))
     return out
 
 
@@ -150,11 +163,11 @@ def false_discovery_rate(
     Zero when nothing positive is released at that depth.
     """
     r = released_levels[depth] if depth < len(released_levels) else {}
-    positives = [k for k, v in r.items() if v > 0]
+    positives = list(compress(r, map(_positive, r.values())))
     if not positives:
         return 0.0
     t = true_tree.levels[depth]
-    false_pos = sum(1 for k in positives if t.get(k, 0) == 0)
+    false_pos = len(positives) - sum(map(bool, map(t.get, positives, repeat(0))))
     return 100.0 * false_pos / len(positives)
 
 
@@ -197,7 +210,7 @@ def level_scores(
     errors = max_abs_error_per_level(truth, released)
     return [
         (errors[d], false_discovery_rate(truth, released, d),
-         sum(1 for v in released[d].values() if v > 0))
+         sum(map(_positive, released[d].values())))
         for d in range(truth.depth + 1)
     ]
 

@@ -18,6 +18,8 @@ interleaving is stated once, in the ``_steps`` table.
 
 from __future__ import annotations
 
+from itertools import chain, compress, repeat
+from operator import ne
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import DataError
@@ -380,17 +382,23 @@ def validate_consistency(tree: HierTree) -> List[Tuple[str, str, int]]:
     Returns the keys in violation as (origin area, destination area, depth),
     deterministically ordered; an empty list means the tree is consistent.
     Absent keys read as zero, so an orphaned positive child surfaces as its
-    parent's key.
+    parent's key. Each depth is compared in C-level passes (dict equality
+    first, then one pass over the parents' keys and one over the children's
+    sums, with no union set); only a depth holding a negative value, and only
+    violations, cost Python work per key.
     """
     bad: List[Tuple[str, str, int]] = []
-    for depth in range(tree.depth + 1):
-        for (o, d), value in tree.levels[depth].items():
-            if value < 0:
-                bad.append((o, d, depth))
+    for depth, level in enumerate(tree.levels):
+        if level and min(level.values()) < 0:
+            bad += [(o, d, depth) for (o, d), value in level.items() if value < 0]
     for depth, step in enumerate(tree._steps):
         sums = _sum_into_parents(tree.levels[depth + 1], step)
-        parent_map = tree.levels[depth]
-        for key in set(parent_map) | set(sums):
-            if parent_map.get(key, 0) != sums.get(key, 0):
-                bad.append((key[0], key[1], depth))
+        parents = tree.levels[depth]
+        if parents == sums:
+            continue
+        unequal = chain(
+            compress(parents, map(ne, parents.values(), map(sums.get, parents, repeat(0)))),
+            compress(sums, map(ne, map(parents.get, sums, repeat(0)), sums.values())),
+        )
+        bad += [(o, d, depth) for o, d in unequal]
     return sorted(set(bad))

@@ -8,12 +8,15 @@ positive children survive to be expanded, so sparsity propagates and the huge
 empty part of the universe is never materialized.
 
 Privacy: every level is one GS2-sensitivity vector query answered with
-discrete Gaussian noise. In bounded mode rho splits into T equal shares, one
-per level, at variance sigma2 = GS2^2 * T / (2 rho). In unbounded mode the
-total n is itself private, so the root (sensitivity m) takes a share too: rho
-splits into T + 1 shares, each level at GS2^2 * (T + 1) / (2 rho) and the
-root, estimated first and clamped at zero, at m^2 * (T + 1) / (2 rho). Either
-way the composition consumes exactly rho.
+discrete Gaussian noise. A level above the leaves sums many pairs, so all m
+of one user's trips can land in one node, distinct or not: every level is
+charged GS2^2 = 2 m^2 (bounded) or m^2 (unbounded), the
+``SensitivityModel.level_gs2_squared``. In bounded mode rho splits into T
+equal shares, one per level, at variance sigma2 = GS2^2 * T / (2 rho). In
+unbounded mode the total n is itself private, so the root (sensitivity m)
+takes a share too: rho splits into T + 1 shares, and the levels and the root,
+estimated first and clamped at zero, all use sigma2 = m^2 * (T + 1) / (2 rho).
+Either way the composition consumes exactly rho.
 
 Noise is keyed, never drawn in scheduling order. Down to the block frontier,
 the first depth whose released level holds at least ``BLOCK_NODES`` nodes,
@@ -161,10 +164,9 @@ def release(
     solver = _solver or _chebyshev_solver
     depth_total = tree.depth
     sens = config.sensitivity
-    shares = rho_shares(sens, depth_total)
     budget = config.budget
-    rho2 = 2.0 * budget.rho
-    sigma2 = snap_parameter(sens.gs2_squared * shares, rho2, "the per-level sigma2", budget)
+    sigma2 = snap_parameter(sens.level_gs2_squared * rho_shares(sens, depth_total),
+                            2.0 * budget.rho, "the per-level sigma2", budget)
 
     levels: List[Dict[Key, int]] = [dict() for _ in range(depth_total + 1)]
     wall_ms = [0.0] * (depth_total + 1)
@@ -172,8 +174,8 @@ def release(
 
     start = time.perf_counter()
     if sens.privacy == "unbounded":
-        root_sigma2 = snap_parameter(sens.m * sens.m * shares, rho2, "the root sigma2", budget)
-        noise = sample_discrete_gaussian(root_sigma2, substream(config.seed, "root"))
+        # the root's sensitivity m, squared, is the unbounded level charge
+        noise = sample_discrete_gaussian(sigma2, substream(config.seed, "root"))
         root_value = max(0, tree.n + noise)
     else:
         root_value = tree.n

@@ -240,6 +240,34 @@ class TestExitCodes:
                    "--out", str(tmp_path / "report.csv")) == 3
         assert "no root row but holds depths [1, 2, 3, 4, 5, 6, 7]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", ["whole", "no-leaves", "leaf-plus-one"])
+    def test_inconsistent_tree_release_is_3(self, quickstart, tmp_path, capsys, edit):
+        # a tree release missing its depth-8 rows, or with one leaf raised by
+        # 1, would otherwise score as if whole
+        data, release = quickstart
+        header, *rows = release.read_text().splitlines()
+        if edit == "no-leaves":
+            rows = [r for r in rows if not r.startswith("8,")]
+        elif edit == "leaf-plus-one":
+            depth, o, d, flow = rows[-1].split(",")
+            rows[-1] = f"{depth},{o},{d},{int(flow) + 1}"
+        rel = tmp_path / "release.csv"
+        rel.write_text("\n".join([header, *rows]) + "\n")
+        (tmp_path / "release.meta.json").write_text(
+            release.with_name("release.meta.json").read_text())
+        capsys.readouterr()
+        code = run("evaluate", "--truth", str(data), "--release", str(rel),
+                   "--out", str(tmp_path / "report.csv"))
+        err = capsys.readouterr().err
+        if edit == "whole":
+            assert code == 0 and err == ""
+            return
+        assert code == 3
+        assert "is not a consistent tree release" in err
+        if edit == "leaf-plus-one":
+            parent = f"'{o.rsplit('.', 1)[0]}', '{d}', 7"
+            assert ": 1 violation(s)" in err and f"(origin, destination, depth) ({parent})" in err
+
     @pytest.mark.parametrize(
         "bad", [{"epsilons": [0.0]}, {"epsilons": ["inf"]}, {"delta": 2.0}, {"m": 0}],
         ids=["eps-0", "eps-inf", "delta-2", "m-0"],

@@ -144,7 +144,7 @@ class TestCalibration:
                     params.append((sens.gs2_squared, rho2, sens.gs2_squared / rho2))
                     for depth in range(1, 31):
                         shares = depth + (privacy == "unbounded")  # levels and root
-                        params.append((sens.gs2_squared * shares, rho2,
+                        params.append((sens.level_gs2_squared * shares, rho2,
                                        per_level_sigma2(budget, sens, depth)))
                         params.append((m * m * shares, rho2, m * m * shares / rho2))
         for numerator, denominator, value in params:

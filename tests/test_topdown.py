@@ -108,7 +108,8 @@ class TestRelease:
             (1e12, "bounded", 1, "per-level sigma2"),  # snaps to 0
             (1e-320, "bounded", 1, "per-level sigma2"),  # infinite
             (1e-320, "unbounded", 1, "per-level sigma2"),
-            (1e-307, "unbounded", 4, "root sigma2"),  # per-level 1e308, root infinite
+            # the levels and the root share m^2 (T + 1) / (2 rho), infinite at m = 4
+            (1e-307, "unbounded", 4, "per-level sigma2"),
         ],
     )
     def test_unusable_snapped_variance_is_a_config_error(self, trip_table, rho, privacy, m, what):
@@ -122,9 +123,10 @@ class TestRelease:
     @pytest.mark.parametrize("privacy", ["bounded", "unbounded"])
     def test_release_spends_exactly_its_budget(self, origin_hier, dest_hier, monkeypatch,
                                                budget, privacy, m, distinct):
-        # the variances the release samples with, charged GS2^2 / (2 sigma2)
-        # per level and m^2 / (2 sigma2) for the unbounded root; the counts are
-        # large enough that a noisy root is never 0, so every level is drawn
+        # the variances the release samples with, charged the tree level's
+        # GS2^2 / (2 sigma2) per level and m^2 / (2 sigma2) for the unbounded
+        # root; the counts are large enough that a noisy root is never 0, so
+        # every level is drawn
         from inftda import ingest_trips
 
         trips = [("N.a", "E.x", 3000), ("N.b", "W.z", 2000), ("S.c", "E.y", 5000)]
@@ -144,7 +146,7 @@ class TestRelease:
         release(tree, ReleaseConfig(budget=budget, sensitivity=sens, seed=0))
         (sigma2,) = drawn["levels"]
         assert len(drawn["root"]) == (privacy == "unbounded")
-        spent = tree.depth * Fraction(sens.gs2_squared) / (2 * sigma2)
+        spent = tree.depth * Fraction(sens.level_gs2_squared) / (2 * sigma2)
         spent += sum(Fraction(m * m) / (2 * root) for root in drawn["root"])
         rho = Fraction(budget.rho)
         assert rho * (1 - Fraction(1, 10**9)) <= spent <= rho
