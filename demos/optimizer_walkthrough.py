@@ -9,7 +9,7 @@ false discoveries low in a top-down release.
 
 import random
 
-from inftda import brute_force_oracle, intopt_fast, intopt_simple, lower_bound
+from inftda import intopt_fast
 
 CASES = [
     ((0, -1, 1), 2),   # noise went negative on an empty cell
@@ -22,23 +22,11 @@ CASES = [
 def main() -> None:
     for x, c in CASES:
         print(f"x = {x}, parent total c = {c}")
-        print(f"  lower bound on distance: {lower_bound(x, c)}")
         for order in ("ascending", "descending", "random"):
             rng = random.Random(0) if order == "random" else None
-            res = intopt_simple(x, c, order, rng)
-            check = "optimal" if res.distance == brute_force_oracle(x, c) else "SUBOPTIMAL"
-            print(f"  {order:>10}: y = {res.values}, distance {res.distance} ({check})")
+            res = intopt_fast(x, c, order, rng)
+            print(f"  {order:>10}: y = {res.values}, distance {res.distance}")
         print()
-
-    # the fast solver skips settled coordinates and jumps the radius, but it
-    # must stay exactly interchangeable with the reference loop
-    rng = random.Random(4)
-    trials = 2000
-    for i in range(trials):
-        x = [rng.randint(-15, 15) for _ in range(rng.randint(1, 30))]
-        c = rng.randint(0, 120)
-        assert intopt_fast(x, c).values == intopt_simple(x, c).values
-    print(f"fast solver matched the reference on {trials} random instances")
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ per-parent Chebyshev-optimal integer projection, and ships the baselines,
 synthetic benchmarks, and evaluation harness used to exercise it.
 """
 
-from .baselines import UNIVERSE_CAP, aggregate_up, stability_histogram, tda_l2, vanilla_gauss
+from .baselines import UNIVERSE_CAP, stability_histogram, tda_l2, vanilla_gauss
 from .dataio import (
     load_dataset,
     read_hierarchy_csv,
@@ -20,14 +20,12 @@ from .dataio import (
 from .dpcore import (
     PrivacyBudget,
     SensitivityModel,
-    derive_seed,
     eps_from_rho,
     per_level_sigma2,
     rho_from_eps_delta,
     sample_discrete_gaussian,
     sample_discrete_laplace,
     stability_threshold,
-    substream,
 )
 from .errors import ConfigError, DataError
 from .evaluate import (
@@ -51,7 +49,7 @@ from .hierarchy import (
     parse_hierarchy,
     validate_consistency,
 )
-from .intopt import ORDERS, OptResult, brute_force_oracle, intopt_fast, intopt_simple, lower_bound
+from .intopt import ORDERS, OptResult, intopt_fast
 from .synth import SPARSITY_NAMES, SynthSpec, gen_dataset, gen_flows, gen_partition
 from .topdown import DPRelease, ReleaseConfig, release, theoretical_error_envelope
 
@@ -77,10 +75,7 @@ __all__ = [
     "TripTable",
     "UNIVERSE_CAP",
     "aggregate_leaf_map",
-    "aggregate_up",
-    "brute_force_oracle",
     "build_tree",
-    "derive_seed",
     "eps_from_rho",
     "false_discovery_rate",
     "gen_dataset",
@@ -88,9 +83,7 @@ __all__ = [
     "gen_partition",
     "ingest_trips",
     "intopt_fast",
-    "intopt_simple",
     "load_dataset",
-    "lower_bound",
     "max_abs_error_per_level",
     "parse_hierarchy",
     "per_level_sigma2",
@@ -106,7 +99,6 @@ __all__ = [
     "save_dataset",
     "stability_histogram",
     "stability_threshold",
-    "substream",
     "tda_l2",
     "theoretical_error_envelope",
     "validate_consistency",

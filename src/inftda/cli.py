@@ -345,17 +345,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark dataset")
-    p.add_argument("--kind", choices=["binary", "random"], default="binary")
+    p.add_argument("--kind", choices=["binary", "random"], default=SynthSpec.kind)
     p.add_argument(
         "--sparsity",
         type=_number_or_name,
-        default="complete",
+        default=SynthSpec.sparsity,
         help="complete, dense, sparse, or a float in (0, 1] (fraction of populated cells)",
     )
-    p.add_argument("--exponent", type=float, default=2.0, help="Pareto shape for flow sizes")
-    p.add_argument("--levels", type=int, default=0, help="hierarchy depth per side (0 = default)")
-    p.add_argument("--k-min", type=int, default=2, help="min split arity (random kind)")
-    p.add_argument("--k-max", type=int, default=10, help="max split arity (random kind)")
+    p.add_argument("--exponent", type=float, default=SynthSpec.exponent,
+                   help="Pareto shape for flow sizes")
+    p.add_argument("--levels", type=int, default=SynthSpec.levels,
+                   help="hierarchy depth per side (0 = default)")
+    p.add_argument("--k-min", type=int, default=SynthSpec.k_min,
+                   help="min split arity (random kind)")
+    p.add_argument("--k-max", type=int, default=SynthSpec.k_max,
+                   help="max split arity (random kind)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
@@ -366,10 +370,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=None, help="zCDP budget")
     p.add_argument("--epsilon", type=float, default=None, help="approximate-DP budget")
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--order", choices=sorted(ORDER_FLAGS), default="asc")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--privacy", choices=["bounded", "unbounded"], default="bounded")
-    p.add_argument("--m", type=int, default=1, help="max trips contributed per user")
+    order_flag = {order: flag for flag, order in ORDER_FLAGS.items()}[ReleaseConfig.order]
+    p.add_argument("--order", choices=sorted(ORDER_FLAGS), default=order_flag)
+    p.add_argument("--seed", type=int, default=ReleaseConfig.seed)
+    p.add_argument("--privacy", choices=["bounded", "unbounded"],
+                   default=SensitivityModel.privacy)
+    p.add_argument("--m", type=int, default=SensitivityModel.m,
+                   help="max trips contributed per user")
     p.add_argument(
         "--non-distinct",
         action="store_true",

@@ -347,6 +347,8 @@ def run_experiment(
     """
     if repeats < 1:
         raise ConfigError("repeats must be >= 1")
+    if not mechanisms or not epsilons:
+        raise ConfigError("the grid needs at least one mechanism and one epsilon")
     for name in mechanisms:
         _mechanism(name)
     tree = build_tree(table, mode)

@@ -284,17 +284,6 @@ class HierTree:
         except KeyError as exc:
             raise DataError(f"unknown area {exc.args[0]!r} at level {level - 1}") from None
 
-    def parent_key(self, key: Key, depth: int) -> Key:
-        self._check_depth(depth)
-        if depth == 0:
-            raise DataError("the root has no parent")
-        split_dest, level, _, up = self._steps[depth - 1]
-        o, d = key
-        try:
-            return (o, up[d]) if split_dest else (up[o], d)
-        except KeyError as exc:
-            raise DataError(f"unknown area {exc.args[0]!r} at level {level}") from None
-
     def range_query(
         self, origin_area: str, origin_level: int, dest_area: str, dest_level: int
     ) -> int:

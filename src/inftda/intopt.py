@@ -21,17 +21,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
-__all__ = [
-    "OptResult",
-    "ORDERS",
-    "lower_bound",
-    "intopt_simple",
-    "intopt_fast",
-    "brute_force_oracle",
-]
+__all__ = ["OptResult", "ORDERS", "intopt_fast"]
 
 ORDERS = ("ascending", "descending", "random")
 
@@ -55,19 +47,6 @@ def _check_problem(x: Sequence[int], c: int) -> List[int]:
     if int(c) != c or c < 0:
         raise ValueError(f"target sum must be a non-negative integer, got {c!r}")
     return xs
-
-
-def lower_bound(x: Sequence[int], c: int) -> int:
-    """Floor on the achievable Chebyshev distance.
-
-    Any feasible y moves the total by c - sum(x), so some coordinate moves by
-    at least ceil(|c - sum(x)| / d); and any negative coordinate must climb to
-    at least zero. Clipped below at 0. Tight when x is non-negative and mass
-    is added; negative coordinates can force extra removal elsewhere.
-    """
-    xs = _check_problem(x, c)
-    gap = _ceil_div(abs(c - sum(xs)), len(xs))
-    return max(gap, -min(xs), 0)
 
 
 def _initial_offset(xs: List[int], c: int) -> List[int]:
@@ -96,44 +75,15 @@ def _finish(xs: List[int], z: List[int]) -> OptResult:
     return OptResult(values, distance)
 
 
-def intopt_simple(
-    x: Sequence[int],
-    c: int,
-    order: str = "ascending",
-    rng: Optional[random.Random] = None,
-) -> OptResult:
-    """Reference solver: one clip per visit, radius grows by 1 per round."""
-    xs = _check_problem(x, c)
-    d = len(xs)
-    if d == 1:
-        return OptResult((c,), abs(c - xs[0]))
-    target = c - sum(xs)
-    z = _initial_offset(xs, c)
-    t = max(abs(v) for v in z)
-    idx = _order_indices(xs, order, rng)
-    zsum = sum(z)
-    j = 0
-    while zsum > target:
-        i = idx[j]
-        floor_i = max(-xs[i], -t)
-        lowered = z[i] - (zsum - target)
-        nz = floor_i if lowered < floor_i else lowered
-        zsum += nz - z[i]
-        z[i] = nz
-        j += 1
-        if j == d:
-            j = 0
-            t += 1
-    return _finish(xs, z)
-
-
 def intopt_fast(
     x: Sequence[int],
     c: int,
     order: str = "ascending",
     rng: Optional[random.Random] = None,
 ) -> OptResult:
-    """Same output as ``intopt_simple``: a closed form for d <= 2, two shortcuts above.
+    """Same output as the reference loop frozen in ``tests/intopt_oracle.py``.
+
+    It has a closed form for d <= 2 and two shortcuts above the loop.
 
     For d = 2, with T = c - a - b and base = ceil(T / 2), it is (0, c) if
     base < -a, (c, 0) if base < -b, else (a + base, b + base) with, for odd T,
@@ -187,30 +137,3 @@ def intopt_fast(
             step = (zsum - target) // len(active)
             t += step if step > 1 else 1
     return _finish(xs, z)
-
-
-def brute_force_oracle(x: Sequence[int], c: int) -> int:
-    """Exhaustive optimum of the Chebyshev distance, for tiny instances.
-
-    Enumerates every y >= 0 with sum(y) = c (stars and bars); intended as an
-    independent test oracle, hence the hard d <= 4, c <= 12 envelope.
-    """
-    xs = _check_problem(x, c)
-    d = len(xs)
-    if d > 4:
-        raise ValueError("oracle envelope is d <= 4")
-    if c > 12:
-        raise ValueError("oracle envelope is c <= 12")
-    best = None
-    for bars in combinations(range(c + d - 1), d - 1):
-        prev = -1
-        y = []
-        for b in bars:
-            y.append(b - prev - 1)
-            prev = b
-        y.append(c + d - 2 - prev)
-        dist = max(abs(a - b) for a, b in zip(xs, y))
-        if best is None or dist < best:
-            best = dist
-    assert best is not None
-    return best

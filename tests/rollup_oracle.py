@@ -2,9 +2,10 @@
 
 ``aggregate_leaf_map`` walks every leaf's full ancestor path and adds the leaf
 into all 2g+1 depths; ``validate_consistency`` finds each node's parent with
-the checked ``HierTree.parent_key``. Kept verbatim so the equivalence tests can
-check that the level-by-level roll-up returns the same values in the same dict
-insertion order. Not imported by the package.
+the checked ``parent_key``, the ``HierTree`` method it was before it left the
+package. Kept verbatim so the equivalence tests can check that the
+level-by-level roll-up returns the same values in the same dict insertion
+order. Not imported by the package.
 """
 
 from typing import Dict, List, Tuple
@@ -12,6 +13,19 @@ from typing import Dict, List, Tuple
 from inftda import DataError
 
 Key = Tuple[str, str]
+
+
+def parent_key(tree, key: Key, depth: int) -> Key:
+    """The key one depth up that ``key`` at ``depth`` sums into."""
+    tree._check_depth(depth)
+    if depth == 0:
+        raise DataError("the root has no parent")
+    split_dest, level, _, up = tree._steps[depth - 1]
+    o, d = key
+    try:
+        return (o, up[d]) if split_dest else (up[o], d)
+    except KeyError as exc:
+        raise DataError(f"unknown area {exc.args[0]!r} at level {level}") from None
 
 
 def aggregate_leaf_map(leaf_values, origin, dest, mode) -> List[Dict[Key, int]]:
@@ -50,7 +64,7 @@ def validate_consistency(tree) -> List[Tuple[str, str, int]]:
     for depth in range(tree.depth):
         sums: Dict[Key, int] = {}
         for key, value in tree.levels[depth + 1].items():
-            parent = tree.parent_key(key, depth + 1)
+            parent = parent_key(tree, key, depth + 1)
             sums[parent] = sums.get(parent, 0) + value
         parent_map = tree.levels[depth]
         for key in set(parent_map) | set(sums):

@@ -13,29 +13,28 @@ import statistics
 import time
 
 import pytest
+from intopt_oracle import brute_force_oracle, intopt_simple
+from rollup_oracle import parent_key
 
 from inftda import (
     PrivacyBudget,
     ReleaseConfig,
     SensitivityModel,
     SynthSpec,
-    brute_force_oracle,
     build_tree,
-    derive_seed,
     eps_from_rho,
     false_discovery_rate,
     gen_dataset,
     intopt_fast,
-    intopt_simple,
     max_abs_error_per_level,
     release,
     rho_from_eps_delta,
     run_mechanism,
     sample_discrete_gaussian,
-    substream,
     theoretical_error_envelope,
     validate_consistency,
 )
+from inftda.dpcore import derive_seed, substream
 
 # Target user totals for the two benchmark regimes. The generator matches
 # universe shape exactly but the flow tail exponent is a free parameter, so
@@ -130,7 +129,7 @@ def test_criterion_04_releases_are_consistent_and_orphan_free():
         assert rel.tree.n == table.n  # bounded mode keeps the root exact
         for depth in range(1, rel.tree.depth + 1):
             for key in rel.tree.levels[depth]:
-                assert rel.tree.parent_key(key, depth) in rel.tree.levels[depth - 1]
+                assert parent_key(rel.tree, key, depth) in rel.tree.levels[depth - 1]
     print("ACCEPTANCE C4 PASS 100 releases consistent, exact roots, no orphans")
 
 

@@ -11,7 +11,6 @@ from inftda import (
     PrivacyBudget,
     ReleaseConfig,
     SensitivityModel,
-    aggregate_up,
     build_tree,
     stability_histogram,
     stability_threshold,
@@ -19,7 +18,12 @@ from inftda import (
     validate_consistency,
     vanilla_gauss,
 )
-from inftda.baselines import _euclidean_solver, _project_to_simplex, _round_preserving_sum
+from inftda.baselines import (
+    _euclidean_solver,
+    _project_to_simplex,
+    _round_preserving_sum,
+    aggregate_up,
+)
 from l2_oracle import euclidean_solve as oracle_solve
 
 

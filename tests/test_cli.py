@@ -1,7 +1,9 @@
 """End-to-end command line pipeline and exit-code contract."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -269,8 +271,10 @@ class TestExitCodes:
             assert ": 1 violation(s)" in err and f"(origin, destination, depth) ({parent})" in err
 
     @pytest.mark.parametrize(
-        "bad", [{"epsilons": [0.0]}, {"epsilons": ["inf"]}, {"delta": 2.0}, {"m": 0}],
-        ids=["eps-0", "eps-inf", "delta-2", "m-0"],
+        "bad",
+        [{"epsilons": [0.0]}, {"epsilons": ["inf"]}, {"delta": 2.0}, {"m": 0},
+         {"epsilons": []}, {"mechanisms": []}],
+        ids=["eps-0", "eps-inf", "delta-2", "m-0", "no-epsilons", "no-mechanisms"],
     )
     def test_bad_sweep_budget_is_4(self, dataset, tmp_path, bad):
         config = tmp_path / "sweep.json"
@@ -522,3 +526,18 @@ def test_package_imports_without_numpy():
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_surface():
+    # every exported name is bound; the test oracles and dropped aliases are not
+    modules = [inftda] + [importlib.import_module(f"inftda.{info.name}")
+                          for info in pkgutil.iter_modules(inftda.__path__)]
+    for module in modules:
+        exported = getattr(module, "__all__", ())
+        assert [n for n in exported if not hasattr(module, n)] == [], module.__name__
+    assert len(inftda.__all__) == len(set(inftda.__all__))
+    for name in ("intopt_simple", "brute_force_oracle", "lower_bound", "parent_key"):
+        assert not any(hasattr(module, name) for module in modules), name
+    for name in ("aggregate_up", "substream", "derive_seed"):
+        assert not hasattr(inftda, name), name
+    assert not hasattr(inftda.HierTree, "parent_key")

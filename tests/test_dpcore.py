@@ -12,17 +12,15 @@ from inftda import (
     ConfigError,
     PrivacyBudget,
     SensitivityModel,
-    derive_seed,
     eps_from_rho,
     per_level_sigma2,
     rho_from_eps_delta,
     sample_discrete_gaussian,
     sample_discrete_laplace,
     stability_threshold,
-    substream,
     theoretical_error_envelope,
 )
-from inftda.dpcore import snap_parameter
+from inftda.dpcore import derive_seed, snap_parameter, substream
 
 # Oracle-frozen constants (bisection on the forward conversion; see the
 # acceptance suite for the independent derivation).

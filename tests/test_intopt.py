@@ -5,8 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from intopt_oracle import brute_force_oracle, intopt_simple, lower_bound
 
-from inftda import ORDERS, brute_force_oracle, intopt_fast, intopt_simple, lower_bound
+from inftda import ORDERS, intopt_fast
 
 vectors = st.lists(st.integers(min_value=-15, max_value=15), min_size=1, max_size=8)
 targets = st.integers(min_value=0, max_value=30)
@@ -63,7 +64,7 @@ class TestProperties:
     @given(x=vectors, c=targets)
     @settings(max_examples=300)
     def test_lower_bound_never_exceeds_distance(self, x, c):
-        res = intopt_simple(x, c)
+        res = intopt_fast(x, c)
         assert lower_bound(x, c) <= res.distance
 
     @given(x=st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=8), c=targets)
@@ -71,7 +72,7 @@ class TestProperties:
     def test_lower_bound_tight_when_mass_is_added(self, x, c):
         # with nothing to lift out of the negatives, an even spread is optimal
         if c >= sum(x):
-            assert intopt_simple(x, c).distance == lower_bound(x, c)
+            assert intopt_fast(x, c).distance == lower_bound(x, c)
 
 
 class TestTwoCoordinates:
@@ -101,30 +102,31 @@ class TestEdges:
         assert res.values == (3,) and res.distance == 4
 
     def test_already_feasible_input_is_untouched(self):
-        res = intopt_simple((1, 2, 3), 6)
+        res = intopt_fast((1, 2, 3), 6)
         assert res.values == (1, 2, 3) and res.distance == 0
 
     def test_all_negative_input(self):
-        res = intopt_simple((-4, -2), 0)
+        res = intopt_fast((-4, -2), 0)
         assert res.values == (0, 0) and res.distance == 4
 
     def test_ascending_breaks_ties_by_index(self):
         # two equal smallest entries: the earlier index is clipped first
-        res = intopt_simple((2, 2, 5), 5)
+        res = intopt_fast((2, 2, 5), 5)
         assert res.values == (0, 1, 4)
         assert res.distance == 2
 
     def test_invalid_problems_rejected(self):
+        # the order cases take the loop path here; d = 2 is TestTwoCoordinates'
         with pytest.raises(ValueError):
-            intopt_simple((), 0)
+            intopt_fast((), 0)
         with pytest.raises(ValueError):
-            intopt_simple((1,), -1)
+            intopt_fast((1,), -1)
         with pytest.raises(ValueError):
-            intopt_simple((1, 2), 2.5)
+            intopt_fast((1, 2), 2.5)
         with pytest.raises(ValueError):
-            intopt_simple((1, 2), 2, "sideways")
+            intopt_fast((1, 2, 3), 2, "sideways")
         with pytest.raises(ValueError):
-            intopt_simple((1, 2), 2, "random")  # rng required
+            intopt_fast((1, 2, 3), 2, "random")  # rng required
 
     def test_oracle_envelope_enforced(self):
         with pytest.raises(ValueError):

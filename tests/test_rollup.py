@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from rollup_oracle import aggregate_leaf_map as oracle_aggregate
+from rollup_oracle import parent_key
 from rollup_oracle import validate_consistency as oracle_validate
 
 from inftda import HierTree, aggregate_leaf_map, parse_hierarchy, validate_consistency
@@ -117,7 +118,7 @@ def test_tree_steps_match_the_leaf_path_walk(instance):
                     ol, dl = tree.component_levels(k)
                     assert key == (po[ol], pd[dl])
                     if k:
-                        assert tree.parent_key(key, k) == walk[k - 1]
+                        assert parent_key(tree, key, k) == walk[k - 1]
                         assert key in tree.child_keys(walk[k - 1], k - 1)
 
 

@@ -25,9 +25,8 @@ from inftda import (
     run_mechanism,
     sample_discrete_gaussian,
     sample_discrete_laplace,
-    substream,
 )
-from inftda.dpcore import RATIONAL_LIMIT
+from inftda.dpcore import RATIONAL_LIMIT, substream
 
 DRAWS = 2000
 BUDGET = PrivacyBudget.from_eps_delta(1.0, 1e-8)

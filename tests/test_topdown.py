@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from rollup_oracle import parent_key
 
 from inftda import (
     ConfigError,
@@ -51,7 +52,7 @@ class TestRelease:
         rel = release(build_tree(trip_table), ReleaseConfig(budget=budget, seed=1))
         for depth in range(1, rel.tree.depth + 1):
             for key in rel.tree.levels[depth]:
-                parent = rel.tree.parent_key(key, depth)
+                parent = parent_key(rel.tree, key, depth)
                 assert rel.tree.levels[depth - 1].get(parent, 0) > 0
 
     def test_high_budget_recovers_the_truth(self, trip_table):
