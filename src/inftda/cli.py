@@ -138,7 +138,6 @@ _SWEEP_CONFIG = {
     "order": lambda value: ORDER_FLAGS[_text(*ORDER_FLAGS)(value)],
     "tree": _text("destination", "origin"),
     "universe_cap": _integer,
-    "branching": lambda value: value if value is None else _integer(value),
     "beta": _number,
 }
 
@@ -245,9 +244,12 @@ def cmd_release(args: argparse.Namespace) -> int:
     write_release_csv(dict(enumerate(rel.tree.levels)), args.out)
     meta_path = args.meta or sidecar_path(args.out, ".meta.json")
     write_json(rel.metadata(), meta_path)
+    budget = config.budget
+    guarantee = (f"rho={budget.rho:.6g}" if rel.zcdp
+                 else f"epsilon={budget.epsilon:.6g}, delta={budget.delta:.6g}")
     print(
         f"{args.mechanism}: released {sum(len(v) for v in rel.tree.levels[1:])} values "
-        f"(rho={config.budget.rho:.6g}) -> {args.out}, {meta_path}"
+        f"({guarantee}) -> {args.out}, {meta_path}"
     )
     return 0
 

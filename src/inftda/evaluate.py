@@ -65,11 +65,13 @@ __all__ = [
 class Mechanism:
     """``run(table, tree, config, universe_cap)`` gives a DPRelease, or the leaf
     map of a ``leaf_only`` mechanism (which never reads ``tree``); ``order`` is
-    the visit order the mechanism forces, if any."""
+    the visit order the mechanism forces, if any; ``zcdp`` is False for a
+    mechanism that is (epsilon, delta)-DP only, so no rho is stated for it."""
 
     run: Callable
     leaf_only: bool = False
     order: Optional[str] = None
+    zcdp: bool = True
 
 
 # Entries call each mechanism by its module-level name when they run, never
@@ -91,6 +93,7 @@ MECHANISMS: Dict[str, Mechanism] = {
         lambda table, tree, cfg, cap: stability_histogram(
             table, cfg.budget, cfg.sensitivity, cfg.seed),
         leaf_only=True,
+        zcdp=False,  # Laplace noise plus a threshold
     ),
 }
 
@@ -125,7 +128,8 @@ def run_release(
     depth = 2 * table.origin.levels
     levels: List[Dict[Key, int]] = [{} for _ in range(depth)] + [out]
     per_level = [{"depth": depth, "node_count": len(out), "wall_ms": wall_ms}]
-    return DPRelease(HierTree(mode, table.origin, table.dest, levels), config, name, per_level)
+    return DPRelease(HierTree(mode, table.origin, table.dest, levels), config, name, per_level,
+                     zcdp=entry.zcdp)
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +275,10 @@ class EvalReport:
     """Aggregated per-level statistics for one (mechanism, budget) cell."""
 
     mechanism: str
-    rho: float
+    rho: Optional[float]
     epsilon: Optional[float]
     delta: Optional[float]
-    order: str
+    order: Optional[str]
     seed: int
     repeats: int
     tree_mode: str
@@ -330,16 +334,16 @@ def run_experiment(
     mode: str = "destination",
     sens: SensitivityModel = SensitivityModel(),
     universe_cap: int = UNIVERSE_CAP,
-    branching: Optional[int] = None,
     beta: float = 0.01,
 ) -> List[EvalReport]:
     """Run the full (mechanism x epsilon) grid; one EvalReport per cell.
 
     Repeat r of every cell uses the seed derived from (seed, r), so a per-seed
-    comparison across mechanisms or epsilons is paired. ``branching`` adds the
-    theoretical per-level error envelope to the JSON payload of each tree
-    mechanism (regular synthetic trees only). Every mechanism name, budget and
-    envelope is checked before any job runs, so a bad parameter fails first.
+    comparison across mechanisms or epsilons is paired. When the tree is
+    regular (``HierTree.branching`` is not None), each tree mechanism's report
+    carries the theoretical per-level error envelope, at failure probability
+    ``beta``. Every mechanism name, budget and ``beta`` is checked before any
+    job runs, so a bad parameter fails first.
 
     Each repeat of each cell is one job. The jobs are dealt round-robin into
     min(W, jobs) groups for ``parallel.run_split``, with W the usable CPUs; a
@@ -349,9 +353,12 @@ def run_experiment(
         raise ConfigError("repeats must be >= 1")
     if not mechanisms or not epsilons:
         raise ConfigError("the grid needs at least one mechanism and one epsilon")
+    if not 0.0 < beta < 1.0:
+        raise ConfigError(f"beta must lie in (0, 1), got {beta!r}")
     for name in mechanisms:
         _mechanism(name)
     tree = build_tree(table, mode)
+    branching = tree.branching
     repeat_seeds = [derive_seed(seed, "repeat", r) for r in range(repeats)]
     cells = []
     for eps in epsilons:
@@ -385,10 +392,10 @@ def run_experiment(
         reports.append(
             EvalReport(
                 mechanism=mechanism,
-                rho=budget.rho,
+                rho=budget.rho if entry.zcdp else None,
                 epsilon=budget.epsilon,
                 delta=budget.delta,
-                order=entry.order or order,
+                order=None if entry.leaf_only else entry.order or order,
                 seed=seed,
                 repeats=repeats,
                 tree_mode=mode,

@@ -36,25 +36,6 @@ class OptResult:
     distance: int
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
-def _check_problem(x: Sequence[int], c: int) -> List[int]:
-    if len(x) == 0:
-        raise ValueError("x must be non-empty")
-    xs = [int(v) for v in x]
-    if int(c) != c or c < 0:
-        raise ValueError(f"target sum must be a non-negative integer, got {c!r}")
-    return xs
-
-
-def _initial_offset(xs: List[int], c: int) -> List[int]:
-    # smallest uniform shift covering the target, lifted to feasibility
-    base = _ceil_div(c - sum(xs), len(xs))
-    return [base if base > -v else -v for v in xs]
-
-
 def _order_indices(xs: List[int], order: str, rng: Optional[random.Random]) -> List[int]:
     if order == "ascending":
         return sorted(range(len(xs)), key=lambda i: (xs[i], i))
@@ -67,12 +48,6 @@ def _order_indices(xs: List[int], order: str, rng: Optional[random.Random]) -> L
         rng.shuffle(idx)
         return idx
     raise ValueError(f"order must be one of {ORDERS}, got {order!r}")
-
-
-def _finish(xs: List[int], z: List[int]) -> OptResult:
-    values = tuple(v + dz for v, dz in zip(xs, z))
-    distance = max(abs(dz) for dz in z)
-    return OptResult(values, distance)
 
 
 def intopt_fast(
@@ -94,7 +69,11 @@ def intopt_fast(
     whole-round average surplus instead of by 1, so a round either finishes the
     job or retires at least one coordinate. Worst case O(d^2), not O(d * max|x|).
     """
-    xs = _check_problem(x, c)
+    if len(x) == 0:
+        raise ValueError("x must be non-empty")
+    xs = [int(v) for v in x]
+    if int(c) != c or c < 0:
+        raise ValueError(f"target sum must be a non-negative integer, got {c!r}")
     d = len(xs)
     if d == 1:
         return OptResult((c,), abs(c - xs[0]))
@@ -114,7 +93,9 @@ def intopt_fast(
                 y[first if y[first] > 0 else 1 - first] -= 1
         return OptResult(tuple(y), max(abs(y[0] - a), abs(y[1] - b)))
     target = c - sum(xs)
-    z = _initial_offset(xs, c)
+    # the smallest uniform offset covering the target, lifted to feasibility
+    base = -((-target) // d)
+    z = [base if base > -v else -v for v in xs]
     t = max(abs(v) for v in z)
     active = [i for i in _order_indices(xs, order, rng) if z[i] > -xs[i]]
     zsum = sum(z)
@@ -136,4 +117,4 @@ def intopt_fast(
                 break  # only reachable with zsum == target; recheck ends the loop
             step = (zsum - target) // len(active)
             t += step if step > 1 else 1
-    return _finish(xs, z)
+    return OptResult(tuple(v + dz for v, dz in zip(xs, z)), max(map(abs, z)))

@@ -94,20 +94,22 @@ class DPRelease:
 
     The root attribute is always materialized (it may be 0); depths >= 1 store
     positive attributes only. A leaf-only mechanism's release stores the leaf
-    depth alone: no root row, one ``per_level`` row, and no visit order.
+    depth alone: no root row, one ``per_level`` row, and no visit order. A
+    release that is not ``zcdp`` is (epsilon, delta)-DP only and states no rho.
     """
 
     tree: HierTree
     config: ReleaseConfig
     mechanism: str
     per_level: List[Dict[str, object]]
+    zcdp: bool = True
 
     def metadata(self) -> Dict[str, object]:
         sens = self.config.sensitivity
         return {
             "mechanism": self.mechanism,
             "mode": sens.privacy,
-            "rho": self.config.budget.rho,
+            "rho": self.config.budget.rho if self.zcdp else None,
             "epsilon": self.config.budget.epsilon,
             "delta": self.config.budget.delta,
             "sensitivity": {"type": sens.privacy, "m": sens.m, "distinct": sens.distinct},

@@ -84,6 +84,17 @@ class TestPipeline:
                        "--rho", "0.1", "--seed", "5", "--out", str(out)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_sh_states_epsilon_and_delta_but_no_rho(self, dataset, tmp_path, capsys):
+        # a Laplace-plus-threshold histogram is (epsilon, delta)-DP only
+        rel = tmp_path / "sh.csv"
+        assert run("release", "--data", str(dataset), "--mechanism", "sh",
+                   "--rho", "0.5", "--delta", "1e-6", "--out", str(rel)) == 0
+        meta = json.loads((tmp_path / "sh.meta.json").read_text())
+        assert (meta["rho"], meta["delta"]) == (None, 1e-6)
+        assert meta["epsilon"] == pytest.approx(5.756522)
+        out = capsys.readouterr().out
+        assert "(epsilon=5.75652, delta=1e-06)" in out and "rho=" not in out
+
     def test_leaf_release_without_meta_uses_the_depth_heuristic(self, dataset, tmp_path):
         rel = tmp_path / "sh.csv"
         assert run("release", "--data", str(dataset), "--mechanism", "sh",
@@ -121,6 +132,12 @@ class TestPipeline:
         for name in ("report_inftda_eps1", "report_sh_eps1"):
             assert (base / f"{name}.csv").exists()
             assert (base / f"{name}.json").exists()
+        inftda = json.loads((base / "report_inftda_eps1.json").read_text())
+        sh = json.loads((base / "report_sh_eps1.json").read_text())
+        # the random-arity tree is not regular, so no envelope describes it
+        assert inftda["envelope"] is None and inftda["order"] == "ascending"
+        assert inftda["rho"] > 0
+        assert (sh["rho"], sh["epsilon"], sh["order"], sh["envelope"]) == (None, 1.0, None, None)
 
     def test_sweep_with_synth_block(self, tmp_path):
         config = tmp_path / "sweep.json"
@@ -129,7 +146,6 @@ class TestPipeline:
             "mechanisms": ["inftda"],
             "epsilons": [2.0],
             "repeats": 2,
-            "branching": 2,
             "out_dir": str(tmp_path / "reports"),
         }))
         assert run("sweep", "--config", str(config)) == 0
@@ -145,7 +161,7 @@ class TestPipeline:
             "mechanisms": list(evaluate.MECHANISMS), "epsilons": [1.0], "delta": 1e-8,
             "repeats": 10, "seed": 0, "order": "asc", "tree": "destination",
             "privacy": "bounded", "m": 1, "distinct": True, "universe_cap": 10_000_000,
-            "branching": None, "beta": 0.01, "out_dir": ".",
+            "beta": 0.01, "out_dir": ".",
         }
         reports = {}
         for name, cfg in (("bare", {"synth": synth}), ("explicit", explicit)):
@@ -365,7 +381,7 @@ class TestExitCodes:
             {"out_dir": 5},
             {"branching": "x"},
             {"branching": 1},
-            {"beta": 2, "branching": 2},
+            {"beta": 2},
             {"tree": "sideways"},
             {"mechanisms": "inftda"},
             {"distinct": "false"},

@@ -16,9 +16,12 @@ from inftda import (
     build_tree,
     false_discovery_rate,
     gen_dataset,
+    ingest_trips,
     max_abs_error_per_level,
+    parse_hierarchy,
     run_experiment,
     run_mechanism,
+    theoretical_error_envelope,
     write_report,
 )
 from inftda import evaluate
@@ -143,7 +146,7 @@ class TestRunExperiment:
     def test_grid_shape_and_envelope(self, experiment_table):
         reports = run_experiment(
             experiment_table, mechanisms=["inftda", "sh"], epsilons=[0.5, 2.0],
-            repeats=2, seed=1, branching=2,
+            repeats=2, seed=1,
         )
         assert [(r.mechanism, r.epsilon) for r in reports] == [
             ("inftda", 0.5), ("sh", 0.5), ("inftda", 2.0), ("sh", 2.0),
@@ -155,6 +158,41 @@ class TestRunExperiment:
                 assert r.envelope is not None and r.envelope[0] == 0.0
             else:
                 assert r.envelope is None
+
+    @pytest.mark.parametrize(
+        "spec, branching",
+        [(SynthSpec(kind="binary", levels=2, sparsity=0.5), 2),
+         (SynthSpec(kind="random", levels=2, k_min=3, k_max=3, sparsity=0.5), 3)],
+        ids=["binary", "random-3"],
+    )
+    def test_regular_tree_carries_the_envelope_of_its_branching(self, spec, branching):
+        budget = PrivacyBudget.from_eps_delta(2.0, 1e-8)
+        reports = run_experiment(gen_dataset(spec, 4), epsilons=[2.0], repeats=1, beta=0.05)
+        expected = [theoretical_error_envelope(d, branching, 4, budget, SensitivityModel(), 0.05)
+                    for d in range(5)]
+        for r in reports:
+            assert r.envelope == (None if MECHANISMS[r.mechanism].leaf_only else expected)
+
+    def test_irregular_tree_carries_no_envelope(self):
+        random_arity = gen_dataset(SynthSpec(kind="random", levels=2, sparsity=0.5), 4)
+        assert build_tree(random_arity).branching is None
+        one_child = ingest_trips([("N.a", "E.a", 3)], parse_hierarchy([("N", "N.a")]),
+                                 parse_hierarchy([("E", "E.a")]))
+        for table in (random_arity, one_child):
+            reports = run_experiment(table, mechanisms=["inftda", "tda-l2"], repeats=1)
+            assert [r.envelope for r in reports] == [None, None]
+
+    def test_reports_state_the_guarantee_and_order_each_mechanism_has(self, experiment_table):
+        reports = run_experiment(experiment_table, repeats=1, order="descending")
+        budget = PrivacyBudget.from_eps_delta(1.0, 1e-8)
+        got = {r.mechanism: (r.rho, r.epsilon, r.order) for r in reports}
+        assert got == {
+            "inftda": (budget.rho, 1.0, "descending"),
+            "tda-l2": (budget.rho, 1.0, "descending"),
+            "tda-linf-random": (budget.rho, 1.0, "random"),
+            "vanilla-gauss": (budget.rho, 1.0, None),
+            "sh": (None, 1.0, None),  # (epsilon, delta)-DP only
+        }
 
     def test_default_grid_is_every_mechanism_at_epsilon_1(self, experiment_table):
         reports = run_experiment(experiment_table, repeats=1)
@@ -179,5 +217,5 @@ class TestRunExperiment:
     def test_validation(self, experiment_table):
         with pytest.raises(ConfigError):
             run_experiment(experiment_table, mechanisms=["inftda"], epsilons=[1.0], repeats=0)
-        with pytest.raises(ConfigError, match="branching"):
-            run_experiment(experiment_table, mechanisms=["inftda"], epsilons=[1.0], branching=1)
+        with pytest.raises(ConfigError, match="beta"):
+            run_experiment(experiment_table, mechanisms=["inftda"], beta=1.0)

@@ -1,5 +1,7 @@
 """Hierarchy parsing, trip ingestion, tree structure, and range queries."""
 
+from itertools import product
+
 import pytest
 from rollup_oracle import parent_key
 
@@ -14,6 +16,12 @@ from inftda import (
     parse_hierarchy,
     validate_consistency,
 )
+
+
+def _grid(b, g):
+    """Leaf paths of a g-level hierarchy whose every area splits b ways."""
+    return [tuple("".join(map(str, path[:i + 1])) for i in range(g))
+            for path in product(range(b), repeat=g)]
 
 
 class TestParseHierarchy:
@@ -203,6 +211,29 @@ class TestHierTree:
             HierTree("sideways", origin_hier, dest_hier, [{} for _ in range(5)])
         with pytest.raises(DataError, match="level maps"):
             HierTree("destination", origin_hier, dest_hier, [{}])
+
+    @pytest.mark.parametrize(
+        "origin_rows, dest_rows, branching",
+        [
+            (_grid(2, 2), _grid(2, 2), 2),
+            (_grid(3, 1), _grid(3, 1), 3),
+            (_grid(2, 2), _grid(3, 2), None),
+            ([("N", "N.a"), ("N", "N.b"), ("S", "S.c")], _grid(2, 2), None),
+            ([("N", "N.a"), ("N", "N.b"), ("N", "N.c"), ("S", "S.a"), ("S", "S.b"),
+              ("S", "S.c")], [("E", "E.a"), ("E", "E.b"), ("E", "E.c"), ("W", "W.a"),
+                              ("W", "W.b"), ("W", "W.c")], None),
+            ([("N", "N.a")], [("E", "E.a")], None),
+        ],
+        ids=["binary", "ternary", "sides-differ", "one-area-differs", "levels-differ",
+             "one-child"],
+    )
+    @pytest.mark.parametrize("mode", ["destination", "origin"])
+    def test_branching_is_the_one_child_count_of_both_sides(
+        self, origin_rows, dest_rows, branching, mode
+    ):
+        origin, dest = parse_hierarchy(origin_rows), parse_hierarchy(dest_rows)
+        tree = HierTree(mode, origin, dest, [{} for _ in range(2 * origin.levels + 1)])
+        assert tree.branching == branching
 
     def test_empty_table_builds_zero_root(self, origin_hier, dest_hier):
         table = ingest_trips([], origin_hier, dest_hier)

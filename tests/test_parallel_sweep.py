@@ -23,13 +23,12 @@ SWEEP = {
     "epsilons": [0.5, 2.0],
     "repeats": 3,
     "seed": 2,
-    "branching": 2,
 }
 JOBS = len(MECHANISMS) * 2 * 3
 
 # SHA-256 over the report files of SWEEP (JSON without wall_ms), as written by
 # a serial sweep
-SWEEP_DIGEST = "c6ea44de600887bc023539c7bebebaaa876217560f09d503928644c82791c9a4"
+SWEEP_DIGEST = "ccb1fdf7fbd0ebe3c887f9abc2d02d7fab026cc3ad40de9dd2b2d4af4a99dc2f"
 
 
 def _report_digest(out_dir) -> str:

@@ -60,12 +60,12 @@ DIGESTS = {
     ),
     ("sh", "destination", ()): (
         "e1515f5a6a26b110430f20a68e581a071c0a30098cd8e69696c01358a0e4c621",
-        "617cfbcf6a6ea65b97d11a928359d03ddbf9ea6d3f056e58271f1d64f4124485",
+        "bc6ad7e589330f2765381368cff4ed498b705ef73cc77caa2ee1aba8bbc19899",
         "c40dc6eb9a31ac5dacc5a37ff48ed67baf8fda45377c61a99ab6c546b9d0cf8a",
     ),
     ("sh", "origin", ()): (
         "e1515f5a6a26b110430f20a68e581a071c0a30098cd8e69696c01358a0e4c621",
-        "c44a4fe8c89455eecd5b392ac6a95ffdb38d63354d327ef8d38805385c09f54f",
+        "6af32119099a5733d99e2b66fb0932a7aed69caf1ddf300454c38b9548e18f78",
         "caac060b0a645e519fed60cbe4c756a2412e34e25f6d6946f19c0bfa7917b174",
     ),
     ("inftda", "destination", ("--privacy", "unbounded")): (
