@@ -137,8 +137,8 @@ def tda_l2(tree: HierTree, config: ReleaseConfig) -> DPRelease:
     Identical descent and noise to the main mechanism; only the per-parent
     solve differs: project the noisy children onto the real simplex
     {y >= 0, sum = parent}, floor, and distribute the remainder to the largest
-    fractional parts. The visiting-order knob does not apply here. Two
-    children take a closed form with the same result, exact in integers.
+    fractional parts. It reads no visit order, so the release states none.
+    Two children take a closed form with the same result, exact in integers.
     """
     return release(tree, config, mechanism="tda-l2", _solver=_euclidean_solver)
 

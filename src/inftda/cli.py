@@ -46,7 +46,7 @@ from .evaluate import (
     write_report,
 )
 from .hierarchy import HierTree, build_tree, validate_consistency
-from .synth import SPARSITY_NAMES, SynthSpec, gen_dataset, gen_flows, gen_partition
+from .synth import SPARSITY_NAMES, SynthSpec, gen_dataset
 from .topdown import ReleaseConfig
 
 __all__ = ["main"]
@@ -198,9 +198,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         sparsity=_sparsity(args.sparsity),
         exponent=args.exponent,
     )
-    origin = gen_partition(spec, args.seed, "origin")
-    dest = gen_partition(spec, args.seed, "destination")
-    table = gen_flows(origin, dest, spec, args.seed)
+    table = gen_dataset(spec, args.seed)
+    origin, dest = table.origin, table.dest
 
     make_output_dir(args.out)
     write_hierarchy_csv(origin, os.path.join(args.out, "origin_hierarchy.csv"))

@@ -64,13 +64,12 @@ __all__ = [
 @dataclass(frozen=True)
 class Mechanism:
     """``run(table, tree, config, universe_cap)`` gives a DPRelease, or the leaf
-    map of a ``leaf_only`` mechanism (which never reads ``tree``); ``order`` is
-    the visit order the mechanism forces, if any; ``zcdp`` is False for a
-    mechanism that is (epsilon, delta)-DP only, so no rho is stated for it."""
+    map of a ``leaf_only`` mechanism (which never reads ``tree``); ``zcdp`` is
+    False for a leaf-only mechanism that is (epsilon, delta)-DP only, so its
+    release states no rho."""
 
     run: Callable
     leaf_only: bool = False
-    order: Optional[str] = None
     zcdp: bool = True
 
 
@@ -81,8 +80,8 @@ MECHANISMS: Dict[str, Mechanism] = {
     "inftda": Mechanism(lambda table, tree, cfg, cap: release(tree, cfg)),
     "tda-l2": Mechanism(lambda table, tree, cfg, cap: tda_l2(tree, cfg)),
     "tda-linf-random": Mechanism(
-        lambda table, tree, cfg, cap: release(tree, cfg, mechanism="tda-linf-random"),
-        order="random",
+        lambda table, tree, cfg, cap: release(
+            tree, replace(cfg, order="random"), mechanism="tda-linf-random"),
     ),
     "vanilla-gauss": Mechanism(
         lambda table, tree, cfg, cap: vanilla_gauss(
@@ -115,11 +114,10 @@ def run_release(
     """Run mechanism ``name`` once on the true ``tree`` (in ``mode``).
 
     ``tree`` may be None for a leaf-only mechanism. Its leaf map comes back,
-    not rolled up, as a release holding the leaf depth alone.
+    not rolled up, as a release holding the leaf depth alone, which read no
+    visit order.
     """
     entry = _mechanism(name)
-    if entry.order is not None:
-        config = replace(config, order=entry.order)
     start = time.perf_counter()
     out = entry.run(table, tree, config, universe_cap)
     if not entry.leaf_only:
@@ -129,7 +127,7 @@ def run_release(
     levels: List[Dict[Key, int]] = [{} for _ in range(depth)] + [out]
     per_level = [{"depth": depth, "node_count": len(out), "wall_ms": wall_ms}]
     return DPRelease(HierTree(mode, table.origin, table.dest, levels), config, name, per_level,
-                     zcdp=entry.zcdp)
+                     zcdp=entry.zcdp, ordered=False)
 
 
 # ---------------------------------------------------------------------------
@@ -233,15 +231,14 @@ def run_mechanism(
     seed: int,
     universe_cap: int = UNIVERSE_CAP,
 ):
-    """Run one mechanism once; returns (per-depth released maps, wall_ms).
+    """Run one mechanism once; returns (per-depth released maps, the DPRelease).
 
-    Leaf-only output is rolled up into every depth after the clock stops.
+    Leaf-only output is rolled up into every depth; the release keeps it as
+    the mechanism gave it.
     """
     config = ReleaseConfig(budget=budget, sensitivity=sens, order=order, seed=seed)
-    start = time.perf_counter()
     rel = run_release(mechanism, table, tree.mode, tree, config, universe_cap)
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    return released_levels(dict(enumerate(rel.tree.levels)), tree), wall_ms
+    return released_levels(dict(enumerate(rel.tree.levels)), tree), rel
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +336,13 @@ def run_experiment(
     """Run the full (mechanism x epsilon) grid; one EvalReport per cell.
 
     Repeat r of every cell uses the seed derived from (seed, r), so a per-seed
-    comparison across mechanisms or epsilons is paired. When the tree is
-    regular (``HierTree.branching`` is not None), each tree mechanism's report
-    carries the theoretical per-level error envelope, at failure probability
-    ``beta``. Every mechanism name, budget and ``beta`` is checked before any
-    job runs, so a bad parameter fails first.
+    comparison across mechanisms or epsilons is paired. A report states the
+    rho, epsilon, delta and visit order its releases state in their sidecars.
+    On a regular tree (``HierTree.branching`` is not None) a report of tree
+    releases (with a root row) carries the theoretical per-level error envelope
+    at failure probability ``beta``. ``wall_ms`` has one time per repeat, of
+    its ``run_mechanism`` call: the release and its roll-up, not the scoring.
+    Every mechanism name, budget and ``beta`` is checked before any job runs.
 
     Each repeat of each cell is one job. The jobs are dealt round-robin into
     min(W, jobs) groups for ``parallel.run_split``, with W the usable CPUs; a
@@ -371,13 +370,17 @@ def run_experiment(
     jobs = list(enumerate((budget, m, s) for budget, _, m in cells for s in repeat_seeds))
 
     def run_jobs(group):
-        # (job index, (level scores, wall_ms)) for each job
+        # (job index, (level scores, wall_ms, what the release states, tree
+        # release?)) for each job; the release itself never crosses the pipe
         out = []
-        for index, (budget, mechanism, s) in group:
-            levels, wall_ms = run_mechanism(
-                mechanism, table, tree, budget, sens, order, s, universe_cap
-            )
-            out.append((index, (level_scores(tree, levels), wall_ms)))
+        for index, (budget, name, s) in group:
+            start = time.perf_counter()
+            levels, rel = run_mechanism(name, table, tree, budget, sens, order, s, universe_cap)
+            wall_ms = (time.perf_counter() - start) * 1000.0
+            meta = rel.metadata()
+            statement = {k: meta[k] for k in ("rho", "epsilon", "delta", "order")}
+            out.append((index, (level_scores(tree, levels), wall_ms, statement,
+                                bool(rel.tree.levels[0]))))
         return out
 
     outcomes: Dict[int, tuple] = {}
@@ -385,23 +388,12 @@ def run_experiment(
     parallel.run_split([jobs[g::count] for g in range(count)], run_jobs, outcomes.update)
 
     reports: List[EvalReport] = []
-    for cell, (budget, envelope, mechanism) in enumerate(cells):
+    for cell, (_, envelope, mechanism) in enumerate(cells):
         runs = [outcomes[i] for i in range(cell * repeats, (cell + 1) * repeats)]
-        levels = [LevelStats(d, *_spread([s[d] for s, _ in runs])) for d in range(tree.depth + 1)]
-        entry = MECHANISMS[mechanism]
-        reports.append(
-            EvalReport(
-                mechanism=mechanism,
-                rho=budget.rho if entry.zcdp else None,
-                epsilon=budget.epsilon,
-                delta=budget.delta,
-                order=None if entry.leaf_only else entry.order or order,
-                seed=seed,
-                repeats=repeats,
-                tree_mode=mode,
-                levels=levels,
-                wall_ms=[wall_ms for _, wall_ms in runs],
-                envelope=None if entry.leaf_only else envelope,
-            )
-        )
+        scores, wall_ms, statements, tree_releases = zip(*runs)
+        levels = [LevelStats(d, *_spread([s[d] for s in scores])) for d in range(tree.depth + 1)]
+        reports.append(EvalReport(
+            mechanism=mechanism, **statements[0], seed=seed, repeats=repeats, tree_mode=mode,
+            levels=levels, wall_ms=list(wall_ms), envelope=envelope if tree_releases[0] else None,
+        ))
     return reports

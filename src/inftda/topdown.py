@@ -94,8 +94,10 @@ class DPRelease:
 
     The root attribute is always materialized (it may be 0); depths >= 1 store
     positive attributes only. A leaf-only mechanism's release stores the leaf
-    depth alone: no root row, one ``per_level`` row, and no visit order. A
-    release that is not ``zcdp`` is (epsilon, delta)-DP only and states no rho.
+    depth alone: no root row and one ``per_level`` row. The code that builds a
+    release states what it is: a release that is not ``zcdp`` is (epsilon,
+    delta)-DP only and states no rho, and one that is not ``ordered`` never
+    read the configured visit order and states none.
     """
 
     tree: HierTree
@@ -103,6 +105,7 @@ class DPRelease:
     mechanism: str
     per_level: List[Dict[str, object]]
     zcdp: bool = True
+    ordered: bool = True
 
     def metadata(self) -> Dict[str, object]:
         sens = self.config.sensitivity
@@ -113,7 +116,7 @@ class DPRelease:
             "epsilon": self.config.budget.epsilon,
             "delta": self.config.budget.delta,
             "sensitivity": {"type": sens.privacy, "m": sens.m, "distinct": sens.distinct},
-            "order": self.config.order if self.tree.levels[0] else None,
+            "order": self.config.order if self.ordered else None,
             "seed": self.config.seed,
             "depth": self.tree.depth,
             "tree": self.tree.mode,
@@ -161,7 +164,8 @@ def release(
     """Release ``tree`` top-down under ``config``.
 
     The default solver is the Chebyshev-optimal integer redistribution; the
-    Euclidean baseline plugs in its own solver through ``_solver``.
+    Euclidean baseline plugs in its own solver through ``_solver``, which reads
+    no visit order, so that release is not ``ordered``.
     """
     solver = _solver or _chebyshev_solver
     depth_total = tree.depth
@@ -241,7 +245,8 @@ def release(
         for depth in range(depth_total + 1)
     ]
     released = HierTree(tree.mode, tree.origin, tree.dest, levels)
-    return DPRelease(tree=released, config=config, mechanism=mechanism, per_level=per_level)
+    return DPRelease(tree=released, config=config, mechanism=mechanism, per_level=per_level,
+                     ordered=_solver is None)
 
 
 def theoretical_error_envelope(

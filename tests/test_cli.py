@@ -117,6 +117,19 @@ class TestPipeline:
         assert payload["tree"] == "origin"
         assert payload["mechanism"] == "tda-l2"
 
+    def test_tda_l2_states_no_order_it_never_reads(self, dataset, tmp_path):
+        files = {}
+        for flag in ("asc", "desc"):
+            rel = tmp_path / f"{flag}.csv"
+            assert run("release", "--data", str(dataset), "--mechanism", "tda-l2", "--seed", "2",
+                       "--epsilon", "1", "--delta", "1e-8", "--order", flag, "--out", str(rel)) == 0
+            meta = json.loads((tmp_path / f"{flag}.meta.json").read_text())
+            for row in meta["per_level"]:
+                del row["wall_ms"]
+            files[flag] = (rel.read_bytes(), meta)
+        assert files["asc"] == files["desc"]
+        assert files["asc"][1]["order"] is None
+
     def test_sweep(self, dataset, tmp_path):
         config = tmp_path / "sweep.json"
         config.write_text(json.dumps({

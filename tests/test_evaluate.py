@@ -25,6 +25,8 @@ from inftda import (
     write_report,
 )
 from inftda import evaluate
+from inftda.dataio import write_json
+from inftda.dpcore import derive_seed
 from inftda.evaluate import run_release
 
 
@@ -78,11 +80,13 @@ class TestRunMechanism:
     )
     def test_returns_full_depth_maps(self, mech_setup, mechanism):
         table, tree, budget = mech_setup
-        levels, wall_ms = run_mechanism(
+        levels, rel = run_mechanism(
             mechanism, table, tree, budget, SensitivityModel(), "ascending", 0
         )
         assert len(levels) == tree.depth + 1
-        assert wall_ms >= 0
+        # the release as the mechanism gave it: leaf-only output is not rolled up
+        assert rel.mechanism == mechanism and rel.config.budget == budget
+        assert bool(rel.tree.levels[0]) is not MECHANISMS[mechanism].leaf_only
 
     def test_unknown_mechanism_rejected(self, mech_setup):
         table, tree, budget = mech_setup
@@ -99,13 +103,13 @@ class TestRunMechanism:
         meta = rel.metadata()
         assert meta["mechanism"] == mechanism and meta["tree"] == "origin"
         if leaf_only:
-            # the leaf depth alone, not rolled up, and no visit order
+            # the leaf depth alone, not rolled up
             assert [bool(level) for level in rel.tree.levels] == [False] * tree.depth + [True]
             assert [row["depth"] for row in rel.per_level] == [tree.depth]
-            assert meta["order"] is None
         else:
             assert [row["depth"] for row in rel.per_level] == list(range(tree.depth + 1))
-            assert meta["order"] == (MECHANISMS[mechanism].order or "descending")
+        # only the Chebyshev solver reads a visit order; tda-linf-random picks its own
+        assert meta["order"] == {"inftda": "descending", "tda-linf-random": "random"}.get(mechanism)
 
 
 class TestReports:
@@ -188,11 +192,31 @@ class TestRunExperiment:
         got = {r.mechanism: (r.rho, r.epsilon, r.order) for r in reports}
         assert got == {
             "inftda": (budget.rho, 1.0, "descending"),
-            "tda-l2": (budget.rho, 1.0, "descending"),
+            "tda-l2": (budget.rho, 1.0, None),  # the Euclidean solve reads no order
             "tda-linf-random": (budget.rho, 1.0, "random"),
             "vanilla-gauss": (budget.rho, 1.0, None),
             "sh": (None, 1.0, None),  # (epsilon, delta)-DP only
         }
+
+    @pytest.mark.parametrize("mode", ["destination", "origin"])
+    @pytest.mark.parametrize("mechanism", list(MECHANISMS))
+    def test_report_states_what_the_release_sidecar_states(self, experiment_table, tmp_path,
+                                                          mechanism, mode):
+        [report] = run_experiment(experiment_table, mechanisms=[mechanism], repeats=1, seed=4,
+                                  order="descending", mode=mode)
+        config = ReleaseConfig(budget=PrivacyBudget.from_eps_delta(1.0, 1e-8),
+                               order="descending", seed=derive_seed(4, "repeat", 0))
+        truth = None if MECHANISMS[mechanism].leaf_only else build_tree(experiment_table, mode)
+        rel = run_release(mechanism, experiment_table, mode, truth, config)
+        write_json(rel.metadata(), str(tmp_path / "rel.meta.json"))
+        sidecar = json.loads((tmp_path / "rel.meta.json").read_text())
+        stated = ("rho", "epsilon", "delta", "order")
+        assert [getattr(report, k) for k in stated] == [sidecar[k] for k in stated]
+        assert sidecar["order"] == {"inftda": "descending", "tda-linf-random": "random"}.get(
+            mechanism)
+        # the 8x8 binary tree is regular: every tree release, and only those, has the envelope
+        tree_mechanisms = ("inftda", "tda-l2", "tda-linf-random")
+        assert (report.envelope is not None) == (mechanism in tree_mechanisms)
 
     def test_default_grid_is_every_mechanism_at_epsilon_1(self, experiment_table):
         reports = run_experiment(experiment_table, repeats=1)

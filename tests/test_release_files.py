@@ -30,12 +30,12 @@ DIGESTS = {
     ),
     ("tda-l2", "destination", ()): (
         "eb316927251e301882957acad7d4d22ea0ab100b94a8cf70f61b3a22482bedea",
-        "6d54e43d7a95e39dc86edbde14323e3ae8d1880813e1defc86a7f3dd84920744",
+        "3fafd11f3ee6a8c878cf3da3ce6c8e922b27b3189e6c44514eea3a81a89ed695",
         "62a348462e53193baa84f7ff7307d60b66bf9405163654d2f802c64e7a0cf1b7",
     ),
     ("tda-l2", "origin", ()): (
         "a74f8800811f7c309f18ca006fe21031cb9a261c3471d5ec69208b89f2bf3221",
-        "97560622d9b74e071037731fc701feb2b68a63b42317201148a7406474f5de12",
+        "1583237315fbd51ece298b1e1bc8b610797c04b4d6d9a41c12df63f644cd84b3",
         "5fc2d9751ce393151a8954db504e674ae08c45293a7e287ed104ef59037143dd",
     ),
     ("tda-linf-random", "destination", ()): (
