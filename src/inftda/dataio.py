@@ -168,11 +168,13 @@ def read_release_csv(path: str) -> Dict[int, Dict[Key, int]]:
     for row in rows[1:]:
         if len(row) != 4:
             raise DataError(f"malformed release row {row!r}")
-        try:
-            depth = int(row[0])
-            value = int(row[3])
-        except ValueError:
-            raise DataError(f"malformed release row {row!r}") from None
+        # ASCII digits only, as the writer writes them: int() would also take
+        # "2_6", "+26", " 26 " and other scripts' digits
+        depth, value = row[0], row[3]
+        if not (depth.isdigit() and depth.isascii() and value.isascii()
+                and (value.isdigit() or value[:1] == "-" and value[1:].isdigit())):
+            raise DataError(f"malformed release row {row!r}")
+        depth, value = int(depth), int(value)
         level = levels.setdefault(depth, {})
         if (row[1], row[2]) in level:
             raise DataError(f"duplicate release row {row!r}")

@@ -267,6 +267,10 @@ def _spread(scores: Sequence[tuple]) -> list:
 CSV_HEADER = ",".join(f.name for f in fields(LevelStats))
 
 
+# what a release states about itself, in its sidecar, that each sweep report copies
+_STATED = ("rho", "epsilon", "delta", "order", "mode", "sensitivity")
+
+
 @dataclass
 class EvalReport:
     """Aggregated per-level statistics for one (mechanism, budget) cell."""
@@ -276,6 +280,8 @@ class EvalReport:
     epsilon: Optional[float]
     delta: Optional[float]
     order: Optional[str]
+    mode: str
+    sensitivity: Dict[str, object]
     seed: int
     repeats: int
     tree_mode: str
@@ -299,6 +305,8 @@ class EvalReport:
             "epsilon": self.epsilon,
             "delta": self.delta,
             "order": self.order,
+            "mode": self.mode,
+            "sensitivity": self.sensitivity,
             "seed": self.seed,
             "repeats": self.repeats,
             "tree": self.tree_mode,
@@ -337,7 +345,8 @@ def run_experiment(
 
     Repeat r of every cell uses the seed derived from (seed, r), so a per-seed
     comparison across mechanisms or epsilons is paired. A report states the
-    rho, epsilon, delta and visit order its releases state in their sidecars.
+    rho, epsilon, delta, visit order, privacy mode and sensitivity its
+    releases state in their sidecars.
     On a regular tree (``HierTree.branching`` is not None) a report of tree
     releases (with a root row) carries the theoretical per-level error envelope
     at failure probability ``beta``. ``wall_ms`` has one time per repeat, of
@@ -378,7 +387,7 @@ def run_experiment(
             levels, rel = run_mechanism(name, table, tree, budget, sens, order, s, universe_cap)
             wall_ms = (time.perf_counter() - start) * 1000.0
             meta = rel.metadata()
-            statement = {k: meta[k] for k in ("rho", "epsilon", "delta", "order")}
+            statement = {k: meta[k] for k in _STATED}
             out.append((index, (level_scores(tree, levels), wall_ms, statement,
                                 bool(rel.tree.levels[0]))))
         return out

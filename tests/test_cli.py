@@ -535,7 +535,21 @@ class TestExitCodes:
         rel.write_text(rel.read_text() + "-1,a,b,3\n")
         assert run("evaluate", "--truth", str(dataset), "--release", str(rel),
                    "--out", str(tmp_path / "report.csv")) == 3
-        assert "depths -1..4" in capsys.readouterr().err
+        # a depth is ASCII digits alone
+        assert "malformed release row ['-1', 'a', 'b', '3']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flow", ["2_6", "+26", " 26 ", "\u0662\u0666"])
+    def test_flow_that_int_would_read_is_3(self, dataset, tmp_path, capsys, flow):
+        rel = tmp_path / "rel.csv"
+        assert run("release", "--data", str(dataset), "--mechanism", "inftda",
+                   "--rho", "1", "--out", str(rel)) == 0
+        header, root, *rows = rel.read_text(encoding="utf-8").splitlines()
+        root = root.rsplit(",", 1)[0] + "," + flow
+        rel.write_text("\n".join([header, root, *rows]) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run("evaluate", "--truth", str(dataset), "--release", str(rel),
+                   "--out", str(tmp_path / "report.csv")) == 3
+        assert "malformed release row" in capsys.readouterr().err
 
     def test_duplicate_release_row_is_3(self, dataset, tmp_path, capsys):
         rel = tmp_path / "rel.csv"

@@ -136,6 +136,25 @@ class TestReleaseCsv:
         with pytest.raises(DataError, match="malformed"):
             read_release_csv(str(path))
 
+    @pytest.mark.parametrize("depth, flow", [
+        ("2_6", "1"), ("+2", "1"), (" 2", "1"), ("2 ", "1"), ("\u0662", "1"), ("-1", "1"),
+        ("", "1"), ("1", "2_6"), ("1", "+26"), ("1", " 26"), ("1", "26 "),
+        ("1", "\u0662\u0666"), ("1", "-\u0662"), ("1", "--3"), ("1", "-"), ("1", "1.0"),
+        ("1", "\u00b2"), ("1", ""),
+    ])
+    def test_only_ascii_digits_parse(self, tmp_path, depth, flow):
+        # int() takes every one of these
+        path = tmp_path / "rel.csv"
+        path.write_text(f"depth,origin,destination,flow\n{depth},a,b,{flow}\n", encoding="utf-8")
+        with pytest.raises(DataError, match="malformed"):
+            read_release_csv(str(path))
+
+    def test_signed_and_zero_padded_digits_parse(self, tmp_path):
+        path = tmp_path / "rel.csv"
+        path.write_text("depth,origin,destination,flow\n1,a,b,-26\n02,a,c,007\n3,a,d,-0\n")
+        assert read_release_csv(str(path)) == {1: {("a", "b"): -26}, 2: {("a", "c"): 7},
+                                              3: {("a", "d"): 0}}
+
     def test_quoting_survives_commas_in_ids(self, tmp_path):
         levels = {0: {("a,b", "c\"d"): 7}}
         path = str(tmp_path / "rel.csv")

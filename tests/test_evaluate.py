@@ -120,6 +120,7 @@ class TestReports:
         ]
         report = EvalReport(
             mechanism="inftda", rho=0.5, epsilon=1.0, delta=1e-8, order="ascending",
+            mode="bounded", sensitivity={"type": "bounded", "m": 1, "distinct": True},
             seed=0, repeats=2, tree_mode="destination", levels=stats,
         )
         assert report.csv_text() == (
@@ -132,6 +133,7 @@ class TestReports:
     def test_write_report_emits_csv_and_json(self, tmp_path):
         report = EvalReport(
             mechanism="sh", rho=0.1, epsilon=1.0, delta=1e-8, order="ascending",
+            mode="bounded", sensitivity={"type": "bounded", "m": 1, "distinct": True},
             seed=0, repeats=1, tree_mode="destination",
             levels=[LevelStats(0, 0, 0.0, 0, 0.0, 0.0, 0.0, 1, 1.0, 1)],
             wall_ms=[1.5],
@@ -141,6 +143,8 @@ class TestReports:
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["schema"] == "od-release-report/1"
         assert payload["mechanism"] == "sh"
+        assert payload["mode"] == "bounded"
+        assert payload["sensitivity"] == {"type": "bounded", "m": 1, "distinct": True}
         assert payload["wall_ms"] == [1.5]
         assert "wall" not in csv_path.read_text()
 
@@ -210,13 +214,25 @@ class TestRunExperiment:
         rel = run_release(mechanism, experiment_table, mode, truth, config)
         write_json(rel.metadata(), str(tmp_path / "rel.meta.json"))
         sidecar = json.loads((tmp_path / "rel.meta.json").read_text())
-        stated = ("rho", "epsilon", "delta", "order")
+        stated = ("rho", "epsilon", "delta", "order", "mode", "sensitivity")
         assert [getattr(report, k) for k in stated] == [sidecar[k] for k in stated]
         assert sidecar["order"] == {"inftda": "descending", "tda-linf-random": "random"}.get(
             mechanism)
         # the 8x8 binary tree is regular: every tree release, and only those, has the envelope
         tree_mechanisms = ("inftda", "tda-l2", "tda-linf-random")
         assert (report.envelope is not None) == (mechanism in tree_mechanisms)
+
+    @pytest.mark.parametrize("mechanism", ["inftda", "tda-l2", "vanilla-gauss"])
+    def test_report_states_the_neighbour_relation(self, experiment_table, tmp_path, mechanism):
+        sens = SensitivityModel("unbounded", 4, False)
+        [report] = run_experiment(experiment_table, mechanisms=[mechanism], repeats=1, sens=sens)
+        write_report(report, str(tmp_path / "report.csv"))
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert (payload["mode"], payload["sensitivity"]) == (
+            "unbounded", {"type": "unbounded", "m": 4, "distinct": False})
+        [bounded] = run_experiment(experiment_table, mechanisms=[mechanism], repeats=1)
+        assert (bounded.mode, bounded.sensitivity) == (
+            "bounded", {"type": "bounded", "m": 1, "distinct": True})
 
     def test_default_grid_is_every_mechanism_at_epsilon_1(self, experiment_table):
         reports = run_experiment(experiment_table, repeats=1)

@@ -232,11 +232,14 @@ def test_small_trees_stay_serial(trip_table, forks, monkeypatch):
     monkeypatch.setattr(topdown, "BLOCK_NODES", 2)
     forks.cpus(2)
     small = build_tree(trip_table)
-    release(small, ReleaseConfig(budget=BUDGET, seed=0))
+    # noise decides how many children of the root survive: take the first
+    # seed whose frontier holds two blocks
+    seed = next(s for s in range(100)
+                if len(release(small, ReleaseConfig(budget=BUDGET, seed=s)).tree.levels[1]) >= 2)
     assert forks.count == 0
     # the size threshold alone kept it serial
     monkeypatch.setattr(topdown, "PARALLEL_MIN_NODES", 0)
-    release(small, ReleaseConfig(budget=BUDGET, seed=0))
+    release(small, ReleaseConfig(budget=BUDGET, seed=seed))
     assert forks.count == 1
 
 

@@ -19,59 +19,59 @@ BUDGET = ("--epsilon", "1", "--delta", "1e-8")
 # (mechanism, tree, extra argv) -> (release CSV, sidecar minus wall_ms, evaluate CSV)
 DIGESTS = {
     ("inftda", "destination", ()): (
-        "b8d2c43f8e57e3acde7b3fbdb6c0252582fd9dbe46adb5ec1c6fcf7f956e354c",
-        "5c063e5bd0bf33c672332b222ae98b3390b73b6c27706c65bb7ee56f521a43ba",
-        "0c7c38d5abc9a6bda79e2ccba3aa16a3b5672adcb80b8b9cf7ae1db747ed618b",
+        "248cf37515a55c49c528cde5fa298dafee632492c54950f77edc34e9c229838a",
+        "7594fb70b632e8fede6653662d8a333eb90526316f08711b4c7286077dfc0e58",
+        "00b3a763331f020b9dc114e6e6f85e745976c524cd3031bf7aaad5a996fecea9",
     ),
     ("inftda", "origin", ()): (
-        "5a3bd71c815983e500e267c7bb6adac209d189b95e8f48e95e227e2ae0c2d816",
-        "68e1ff1d04b51920312713eb045993439c1aa3e0df3d8f21262b6049ba669183",
-        "9d862adbffe0bc15c91e7465f852ad0aa436d20647689ae1f8549a507ba2ca8c",
+        "dfa6915707dd6bc934b444cb29fdb02dfa3abe112f5f3b9e6ea9b958afecabaa",
+        "f669ffa512a4b8ce7bff2c114056b38fb1f6aa5a356ebe8835461afe7099e031",
+        "04b9d48db716d9c4ead42bd901045ecb1ce15437aa73a87ba4e0582ba3960841",
     ),
     ("tda-l2", "destination", ()): (
-        "eb316927251e301882957acad7d4d22ea0ab100b94a8cf70f61b3a22482bedea",
-        "3fafd11f3ee6a8c878cf3da3ce6c8e922b27b3189e6c44514eea3a81a89ed695",
-        "62a348462e53193baa84f7ff7307d60b66bf9405163654d2f802c64e7a0cf1b7",
+        "cc77ed65a49d7174983c8dbdd4a792d3df709ddf0394de1ca1664da5fb015947",
+        "fd0ed5993405855975bc8665f86daa84cec8098a31ddd8af7d0ad59c790cf841",
+        "42db3f61b36c78510f688dafd730245d8ec31de4dc8b5414a33f3432c203de06",
     ),
     ("tda-l2", "origin", ()): (
-        "a74f8800811f7c309f18ca006fe21031cb9a261c3471d5ec69208b89f2bf3221",
-        "1583237315fbd51ece298b1e1bc8b610797c04b4d6d9a41c12df63f644cd84b3",
-        "5fc2d9751ce393151a8954db504e674ae08c45293a7e287ed104ef59037143dd",
+        "947da656434b483ef5b27b6da728d2a314cd0dd50b280633317b48269362496c",
+        "4ccd0d683f0947b86b5cfe26e7351103345c8926bb30a18cb6c79926a9fb03af",
+        "243ecaf508b34484c3ad87560e9d8735575aa9eef83f57fdccdbc08a177502b9",
     ),
     ("tda-linf-random", "destination", ()): (
-        "51469e583170b9058b07ab2d8c8abfcb1d018183ed8d0520e355b3a8fd84aa2b",
-        "5031d4913f7249b01bec255a0cb4f1b1bd2502a260e48b78e29d8f9b38d34aaf",
-        "e475b5f507df56a7813d9d49aa970064ba4735682adf1313e3f9ce62cb2433ed",
+        "dcce035e8a0853ba65b2777f4df8a0df22d07b21c58d31a66d803bdf9bc47bf4",
+        "27c3352bc7d757819273c4c3fdd5e902a4ed3273459b0b66b468e6681d4300f3",
+        "a4a64dfe127e950deb18ec5da2e13fdd86484c556490ecde2c97c9ab5f43e26d",
     ),
     ("tda-linf-random", "origin", ()): (
-        "9c67911da88e845f26d1504a2b6830974f2e1b207996e7d8f4b63fa124daa94e",
-        "e8c8c6b1a8297a948d5541993f472e677186c459729380faabc6f6204215bf3a",
-        "6e986d9baf6c3ea258ae8d96cdab92a2a6c570199762c135967e1ea26da0a3b1",
+        "8c7f9e6ac8054e86fc91c0e43aa1857f89cccbb3fc092bfd9d0d6a0486b73bb4",
+        "3577227c85dd001972993dc7f10fda25c504ea55deb4d8c5ead3169a14112120",
+        "eda28f2fce33ba1348f36dab4ecb7aacd62c3d4c7c357d2fbc79e478479a745c",
     ),
     ("vanilla-gauss", "destination", ()): (
-        "bf104eb8318019e02f32a7067cd0316a7a658b41eed8cf8e8c3ff79320749ad4",
+        "9783aec9c79055587eb526077ce6cdaf37bce673f3d8e775d2accc72d4c50ecf",
         "86dfe66d1b1726e9ee58a524c81cf69babd6f693cfb03835a20d4a2b8540a89f",
-        "1ffd60d1ab2fdd4b8cf82d59ba1636b776e81e7163b3b86defe46d16d21624a9",
+        "b4f6aeac435cfbde5cbd96685acce0c8f1cae0aaecd9bde468daf8fcf11d22a9",
     ),
     ("vanilla-gauss", "origin", ()): (
-        "bf104eb8318019e02f32a7067cd0316a7a658b41eed8cf8e8c3ff79320749ad4",
+        "9783aec9c79055587eb526077ce6cdaf37bce673f3d8e775d2accc72d4c50ecf",
         "5fdba407ba49867f6bae97bfea7fe1d5f7eb58c37f5a3631e011adecdeb3673d",
-        "c1e329ae785297c70eae82c0f44c3fdf5858cba04604684f073f62a6dfcb8311",
+        "1bd12c1b2636c951ee51fd576573f1d40802f04f1343cae3a3919ae4df20bffd",
     ),
     ("sh", "destination", ()): (
-        "e1515f5a6a26b110430f20a68e581a071c0a30098cd8e69696c01358a0e4c621",
+        "efbb6151551fb18639b87e29c857feed54f7dfdf6d5f03f80e473bf26a9abd79",
         "bc6ad7e589330f2765381368cff4ed498b705ef73cc77caa2ee1aba8bbc19899",
-        "c40dc6eb9a31ac5dacc5a37ff48ed67baf8fda45377c61a99ab6c546b9d0cf8a",
+        "450b900ff4918001311f0fb0e08d8af673cfcaf92c7bd80e549cf1a5339661ce",
     ),
     ("sh", "origin", ()): (
-        "e1515f5a6a26b110430f20a68e581a071c0a30098cd8e69696c01358a0e4c621",
+        "efbb6151551fb18639b87e29c857feed54f7dfdf6d5f03f80e473bf26a9abd79",
         "6af32119099a5733d99e2b66fb0932a7aed69caf1ddf300454c38b9548e18f78",
-        "caac060b0a645e519fed60cbe4c756a2412e34e25f6d6946f19c0bfa7917b174",
+        "0c0946967cf9d44a7a6713a0612de35d5be7a5c7bae946e71500e6a1496ff4c9",
     ),
     ("inftda", "destination", ("--privacy", "unbounded")): (
-        "3eaab35becb67fe691c60de790a075c4ad7a4b8e878708803d79d49025222423",
-        "ac340320be2b38078ec80ce30b8728b700ebb90f361e42a06de63ca5795a1b0c",
-        "d7eb0cbfbbbdd549d8a6f44b59c4c21e03bd1a060a0a86254c1c1d74b2a3ba10",
+        "92614e24f36ca7d1845cba4c2dbb8b2bb3cad9167cf69ae8c093b13032b82890",
+        "ce6f7f9dca55b00ed4fdba329bf09d7adae2e3c5b2b7429d1849e0d60e3a3d88",
+        "486c4a152e2526b8867515551bfeb7b14ef68b8d7d7e577618eb4f4d353e441e",
     ),
 }
 
