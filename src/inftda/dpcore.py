@@ -55,7 +55,6 @@ __all__ = [
     "rho_from_eps_delta",
     "eps_from_rho",
     "per_level_sigma2",
-    "rho_shares",
     "stability_threshold",
     "sample_discrete_gaussian",
     "sample_discrete_laplace",
@@ -184,23 +183,21 @@ class SensitivityModel:
         return 2 * base if self.privacy == "bounded" else base
 
 
-def rho_shares(sens: SensitivityModel, depth: int) -> int:
-    """S, the equal shares of rho in a depth-``depth`` top-down release: one
-    per level, plus one for the noisy root total in unbounded mode."""
-    return depth + 1 if sens.privacy == "unbounded" else depth
+def per_level_sigma2(budget: PrivacyBudget, sens: SensitivityModel, depth: int) -> Fraction:
+    """Per-level discrete Gaussian variance for a depth-``depth`` top-down
+    release, snapped as the release samples it.
 
-
-def per_level_sigma2(budget: PrivacyBudget, sens: SensitivityModel, depth: int) -> float:
-    """Per-level discrete Gaussian variance for a depth-``depth`` top-down release.
-
-    sigma2 = GS2^2 * S / (2 * rho) with GS2^2 = ``level_gs2_squared`` and
-    S = ``rho_shares``: each level then costs rho/S and the full composition
+    sigma2 = GS2^2 * S / (2 * rho) with GS2^2 = ``level_gs2_squared`` and S
+    equal shares of rho: one per level, plus one for the noisy root total in
+    unbounded mode. Each level then costs rho/S and the full composition
     consumes exactly ``budget.rho``. For the default bounded m=1 model
     (GS2^2 = 2) this is depth/rho.
     """
     if depth < 1:
         raise ConfigError("depth must be >= 1")
-    return sens.level_gs2_squared * rho_shares(sens, depth) / (2.0 * budget.rho)
+    shares = depth + 1 if sens.privacy == "unbounded" else depth
+    return snap_parameter(sens.level_gs2_squared * shares, 2.0 * budget.rho,
+                          "the per-level sigma2", budget)
 
 
 def snap_parameter(numerator: int, denominator: float, what: str,

@@ -346,11 +346,10 @@ def run_experiment(
     Repeat r of every cell uses the seed derived from (seed, r), so a per-seed
     comparison across mechanisms or epsilons is paired. A report states the
     rho, epsilon, delta, visit order, privacy mode and sensitivity its
-    releases state in their sidecars.
-    On a regular tree (``HierTree.branching`` is not None) a report of tree
-    releases (with a root row) carries the theoretical per-level error envelope
-    at failure probability ``beta``. ``wall_ms`` has one time per repeat, of
-    its ``run_mechanism`` call: the release and its roll-up, not the scoring.
+    releases state in their sidecars. A report of tree releases (with a root
+    row) carries the theoretical per-level error envelope at failure
+    probability ``beta``. ``wall_ms`` has one time per repeat, of its
+    ``run_mechanism`` call: the release and its roll-up, not the scoring.
     Every mechanism name, budget and ``beta`` is checked before any job runs.
 
     Each repeat of each cell is one job. The jobs are dealt round-robin into
@@ -361,20 +360,15 @@ def run_experiment(
         raise ConfigError("repeats must be >= 1")
     if not mechanisms or not epsilons:
         raise ConfigError("the grid needs at least one mechanism and one epsilon")
-    if not 0.0 < beta < 1.0:
-        raise ConfigError(f"beta must lie in (0, 1), got {beta!r}")
     for name in mechanisms:
         _mechanism(name)
     tree = build_tree(table, mode)
-    branching = tree.branching
     repeat_seeds = [derive_seed(seed, "repeat", r) for r in range(repeats)]
     cells = []
     for eps in epsilons:
         budget = PrivacyBudget.from_eps_delta(eps, delta)
-        envelope = None if branching is None else [
-            theoretical_error_envelope(d, branching, tree.depth, budget, sens, beta)
-            for d in range(tree.depth + 1)
-        ]
+        envelope = [theoretical_error_envelope(d, tree, budget, sens, beta)
+                    for d in range(tree.depth + 1)]
         cells += [(budget, envelope, m) for m in mechanisms]
     jobs = list(enumerate((budget, m, s) for budget, _, m in cells for s in repeat_seeds))
 

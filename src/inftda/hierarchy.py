@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from itertools import chain, compress, repeat
 from operator import ne
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import DataError
 
@@ -261,13 +261,6 @@ class HierTree:
     def n(self) -> int:
         """Root attribute (total trips for a tree built from data)."""
         return self.levels[0].get((ROOT_AREA, ROOT_AREA), 0)
-
-    @property
-    def branching(self) -> Optional[int]:
-        """The child count every internal area of both hierarchies shares, or
-        None when the counts differ or are below 2 (the tree is not regular)."""
-        counts = {len(kids) for _, _, children, _ in self._steps for kids in children.values()}
-        return counts.pop() if len(counts) == 1 and min(counts) >= 2 else None
 
     def component_levels(self, depth: int) -> Tuple[int, int]:
         """(origin level, destination level) of keys at tree depth ``depth``."""

@@ -54,9 +54,7 @@ from .dpcore import (
     PrivacyBudget,
     SensitivityModel,
     per_level_sigma2,
-    rho_shares,
     sample_discrete_gaussian,
-    snap_parameter,
     substream,
 )
 from .errors import ConfigError
@@ -170,9 +168,7 @@ def release(
     solver = _solver or _chebyshev_solver
     depth_total = tree.depth
     sens = config.sensitivity
-    budget = config.budget
-    sigma2 = snap_parameter(sens.level_gs2_squared * rho_shares(sens, depth_total),
-                            2.0 * budget.rho, "the per-level sigma2", budget)
+    sigma2 = per_level_sigma2(config.budget, sens, depth_total)
 
     levels: List[Dict[Key, int]] = [dict() for _ in range(depth_total + 1)]
     wall_ms = [0.0] * (depth_total + 1)
@@ -251,31 +247,49 @@ def release(
 
 def theoretical_error_envelope(
     level: int,
-    branching: int,
-    depth: int,
+    tree: HierTree,
     budget: PrivacyBudget,
     sens: SensitivityModel = SensitivityModel(),
     beta: float = 0.01,
 ) -> float:
-    """High-probability ceiling on the level-``level`` max absolute error.
+    """High-probability ceiling on the depth-``level`` max absolute error of a
+    top-down release of ``tree``, of any shape, in either privacy mode:
 
-    For a regular tree with branching factor b released over ``depth`` levels:
+        (2 * level + u) * sqrt(2 * sigma2 * ln(2 * N / beta))
 
-        2 * level * sqrt(2 * sigma2 * ln(2 * b * level * b**level / beta))
+    sigma2 is the variance the release samples with (``per_level_sigma2``);
+    u is 1 in unbounded mode (the noisy root), else 0; N = u plus, for each
+    depth k = 1..level, the product of the origin and destination area counts
+    at ``tree.component_levels(k)``. With probability at least 1 - beta every
+    released attribute at the depth lies within this of the truth.
 
-    with sigma2 the per-level noise variance. Each released attribute at the
-    level stays within this of the truth with probability at least 1 - beta
-    (union bound over the level and every noise coordinate feeding it). Only
-    defined for regular trees; irregular trees have no single b.
+    Proof. Children of distinct parents are distinct keys, so at most N noise
+    coordinates are drawn down to ``level``. A discrete Gaussian is
+    sub-Gaussian (Canonne, Kamath & Steinke, NeurIPS 2020): P(|z| >= t) <=
+    2 exp(-t^2 / (2 sigma2)), so by the union bound all of them lie below
+    t = sqrt(2 sigma2 ln(2N / beta)) with probability at least 1 - beta. Then,
+    with e_k the largest error at depth k:
+    1. the unbounded root is n + z clamped at 0 and n >= 0, so e_0 <= u t;
+    2. at an expanded parent released within e_{k-1} of its true total, some
+       feasible integer point lies within e_{k-1} of the true children, so the
+       Chebyshev optimum lies within t + e_{k-1} of the noisy vector, and
+       within 2t + e_{k-1} of the truth;
+    3. a parent that is not expanded was released as 0, so each of its true
+       children, all released as 0, is at most e_{k-1}.
+    So e_level <= (2 level + u) t, for the Chebyshev solve in any visit order.
+    For ``tda-l2`` the same step bound holds for the exact Euclidean
+    projection onto the simplex; its float rounding is not covered.
     """
-    if not 0 <= level <= depth:
-        raise ConfigError(f"level {level} outside the tree depths 0..{depth}")
-    if branching < 2:
-        raise ConfigError(f"branching factor must be >= 2, got {branching!r}")
+    if not 0 <= level <= tree.depth:
+        raise ConfigError(f"level {level} outside the tree depths 0..{tree.depth}")
     if not 0.0 < beta < 1.0:
         raise ConfigError(f"beta must lie in (0, 1), got {beta!r}")
-    if level == 0:
+    root = int(sens.privacy == "unbounded")
+    if level + root == 0:
         return 0.0
-    sigma2 = per_level_sigma2(budget, sens, depth)
-    log_term = math.log(2.0 * branching * level / beta) + level * math.log(branching)
-    return 2.0 * level * math.sqrt(2.0 * sigma2 * log_term)
+    sigma2 = per_level_sigma2(budget, sens, tree.depth)
+    coords = root + sum(
+        len(tree.origin.areas(o)) * len(tree.dest.areas(d))
+        for o, d in map(tree.component_levels, range(1, level + 1))
+    )
+    return (2 * level + root) * math.sqrt(2 * sigma2 * math.log(2 * coords / beta))

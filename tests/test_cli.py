@@ -147,8 +147,9 @@ class TestPipeline:
             assert (base / f"{name}.json").exists()
         inftda = json.loads((base / "report_inftda_eps1.json").read_text())
         sh = json.loads((base / "report_sh_eps1.json").read_text())
-        # the random-arity tree is not regular, so no envelope describes it
-        assert inftda["envelope"] is None and inftda["order"] == "ascending"
+        # the random-arity tree has its envelope too: one value per depth, 0 at the root
+        assert len(inftda["envelope"]) == 5 and inftda["envelope"][0] == 0.0
+        assert inftda["order"] == "ascending"
         assert inftda["rho"] > 0
         assert (sh["rho"], sh["epsilon"], sh["order"], sh["envelope"]) == (None, 1.0, None, None)
 

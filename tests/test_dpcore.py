@@ -12,7 +12,10 @@ from inftda import (
     ConfigError,
     PrivacyBudget,
     SensitivityModel,
+    SynthSpec,
+    build_tree,
     eps_from_rho,
+    gen_dataset,
     per_level_sigma2,
     rho_from_eps_delta,
     sample_discrete_gaussian,
@@ -27,6 +30,9 @@ from inftda.dpcore import derive_seed, snap_parameter, substream
 RHO_EPS1_DELTA1E8 = 0.013215362852827305
 THRESHOLD_EPS1_DELTA1E8 = 39.22765584902462
 SIGMA2_T16_EPS1 = 1210.7121218073062
+
+# a depth-4 tree for the envelope's checks
+TREE = build_tree(gen_dataset(SynthSpec(kind="binary", levels=2), seed=0))
 
 
 class TestBudgetConversion:
@@ -244,16 +250,14 @@ BUDGET = PrivacyBudget.from_rho(1.0)
         lambda: stability_threshold(0.0, 1e-8),
         lambda: sample_discrete_gaussian(0, random.Random(0)),
         lambda: sample_discrete_laplace(-1, random.Random(0)),
-        lambda: theoretical_error_envelope(1, 1, 4, BUDGET),
-        lambda: theoretical_error_envelope(1, 2, 4, BUDGET, beta=1.0),
-        lambda: theoretical_error_envelope(5, 2, 4, BUDGET),
-        lambda: theoretical_error_envelope(-1, 2, 4, BUDGET),
+        lambda: theoretical_error_envelope(1, TREE, BUDGET, beta=1.0),
+        lambda: theoretical_error_envelope(5, TREE, BUDGET),
+        lambda: theoretical_error_envelope(-1, TREE, BUDGET),
     ],
     ids=["rho-0", "rho-delta-1.5", "eps-inf", "delta-0", "eps-from-rho-negative",
          "rho-from-eps-negative", "privacy-sideways", "m-0", "sigma2-depth-0",
          "threshold-eps-0", "gauss-sigma2-0", "laplace-scale-negative",
-         "envelope-branching-1", "envelope-beta-1", "envelope-level-too-deep",
-         "envelope-level-negative"],
+         "envelope-beta-1", "envelope-level-too-deep", "envelope-level-negative"],
 )
 def test_parameter_check_raises_config_error(check):
     # a ConfigError is what the CLI turns into exit 4; it is also a ValueError

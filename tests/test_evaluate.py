@@ -168,27 +168,24 @@ class TestRunExperiment:
                 assert r.envelope is None
 
     @pytest.mark.parametrize(
-        "spec, branching",
-        [(SynthSpec(kind="binary", levels=2, sparsity=0.5), 2),
-         (SynthSpec(kind="random", levels=2, k_min=3, k_max=3, sparsity=0.5), 3)],
-        ids=["binary", "random-3"],
+        "make_table",
+        [lambda: gen_dataset(SynthSpec(kind="binary", levels=2, sparsity=0.5), 4),
+         lambda: gen_dataset(SynthSpec(kind="random", levels=2, k_min=3, k_max=3,
+                                       sparsity=0.5), 4),
+         lambda: gen_dataset(SynthSpec(kind="random", levels=2, sparsity=0.5), 4),
+         lambda: ingest_trips([("N.a", "E.a", 3)], parse_hierarchy([("N", "N.a")]),
+                              parse_hierarchy([("E", "E.a")]))],
+        ids=["binary", "random-3", "random-arity", "one-child"],
     )
-    def test_regular_tree_carries_the_envelope_of_its_branching(self, spec, branching):
+    def test_every_tree_carries_its_envelope(self, make_table):
+        table = make_table()
+        tree = build_tree(table)
         budget = PrivacyBudget.from_eps_delta(2.0, 1e-8)
-        reports = run_experiment(gen_dataset(spec, 4), epsilons=[2.0], repeats=1, beta=0.05)
-        expected = [theoretical_error_envelope(d, branching, 4, budget, SensitivityModel(), 0.05)
-                    for d in range(5)]
+        reports = run_experiment(table, epsilons=[2.0], repeats=1, beta=0.05)
+        expected = [theoretical_error_envelope(d, tree, budget, SensitivityModel(), 0.05)
+                    for d in range(tree.depth + 1)]
         for r in reports:
             assert r.envelope == (None if MECHANISMS[r.mechanism].leaf_only else expected)
-
-    def test_irregular_tree_carries_no_envelope(self):
-        random_arity = gen_dataset(SynthSpec(kind="random", levels=2, sparsity=0.5), 4)
-        assert build_tree(random_arity).branching is None
-        one_child = ingest_trips([("N.a", "E.a", 3)], parse_hierarchy([("N", "N.a")]),
-                                 parse_hierarchy([("E", "E.a")]))
-        for table in (random_arity, one_child):
-            reports = run_experiment(table, mechanisms=["inftda", "tda-l2"], repeats=1)
-            assert [r.envelope for r in reports] == [None, None]
 
     def test_reports_state_the_guarantee_and_order_each_mechanism_has(self, experiment_table):
         reports = run_experiment(experiment_table, repeats=1, order="descending")
@@ -218,7 +215,7 @@ class TestRunExperiment:
         assert [getattr(report, k) for k in stated] == [sidecar[k] for k in stated]
         assert sidecar["order"] == {"inftda": "descending", "tda-linf-random": "random"}.get(
             mechanism)
-        # the 8x8 binary tree is regular: every tree release, and only those, has the envelope
+        # every tree release, and only those, has the envelope
         tree_mechanisms = ("inftda", "tda-l2", "tda-linf-random")
         assert (report.envelope is not None) == (mechanism in tree_mechanisms)
 

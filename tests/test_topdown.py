@@ -20,11 +20,12 @@ from inftda import (
 )
 from inftda import topdown
 
-# from the same oracle run as the dpcore frozen constants (T=16, b=2,
-# eps=1, delta=1e-8, beta=0.01)
-ENVELOPE_L1 = 254.4506309406654
-ENVELOPE_L8 = 2905.2367513263093
-ENVELOPE_L16 = 7016.392801384163
+# the formula in floats, at the sigma2 of the dpcore frozen constant, on the
+# complete binary tree (T=16, 2**k keys at depth k; eps=1, delta=1e-8,
+# beta=0.01)
+ENVELOPE_L1 = 240.8973018456181
+ENVELOPE_L8 = 2673.7540301592944
+ENVELOPE_L16 = 6508.07113002606
 
 
 @pytest.fixture(scope="module")
@@ -181,34 +182,43 @@ def test_binary_fixture_release_derives_127_streams(binary_tree, forks, monkeypa
 
 
 class TestEnvelope:
-    def test_frozen_values(self, budget):
+    def test_frozen_values(self, binary_tree, budget):
         sens = SensitivityModel()
-        assert theoretical_error_envelope(1, 2, 16, budget, sens) == pytest.approx(
+        assert theoretical_error_envelope(1, binary_tree, budget, sens) == pytest.approx(
             ENVELOPE_L1, rel=1e-12
         )
-        assert theoretical_error_envelope(8, 2, 16, budget, sens) == pytest.approx(
+        assert theoretical_error_envelope(8, binary_tree, budget, sens) == pytest.approx(
             ENVELOPE_L8, rel=1e-12
         )
-        assert theoretical_error_envelope(16, 2, 16, budget, sens) == pytest.approx(
+        assert theoretical_error_envelope(16, binary_tree, budget, sens) == pytest.approx(
             ENVELOPE_L16, rel=1e-12
         )
 
-    def test_formula(self, budget):
-        sens = SensitivityModel()
-        sigma2 = 2 * 16 / (2 * budget.rho)
-        want = 2 * 3 * math.sqrt(2 * sigma2 * (math.log(2 * 2 * 3 / 0.01) + 3 * math.log(2)))
-        got = theoretical_error_envelope(3, 2, 16, budget, sens, beta=0.01)
-        assert got == pytest.approx(want, rel=1e-12)
+    def test_formula(self, binary_tree, trip_table, budget):
+        # (2 level + u) sqrt(2 sigma2 ln(2N / beta)), N counting the keys of
+        # each depth's universe down to the level, plus u for the noisy root
+        def want(level, coords, shares, gs2_squared, u):
+            sigma2 = gs2_squared * shares / (2 * budget.rho)
+            return (2 * level + u) * math.sqrt(2 * sigma2 * math.log(2 * coords / 0.01))
 
-    def test_level_zero_and_monotonicity(self, budget):
+        bounded, unbounded = SensitivityModel(), SensitivityModel("unbounded")
+        got = theoretical_error_envelope(3, binary_tree, budget, bounded, beta=0.01)
+        assert got == pytest.approx(want(3, 2 + 4 + 8, 16, 2, 0), rel=1e-12)
+        got = theoretical_error_envelope(3, binary_tree, budget, unbounded, beta=0.01)
+        assert got == pytest.approx(want(3, 1 + 2 + 4 + 8, 17, 1, 1), rel=1e-12)
+        # irregular: 2 areas, then 3, on each side
+        got = theoretical_error_envelope(4, build_tree(trip_table), budget, bounded, beta=0.01)
+        assert got == pytest.approx(want(4, 2 + 4 + 6 + 9, 4, 2, 0), rel=1e-12)
+
+    def test_level_zero_and_monotonicity(self, binary_tree, budget):
         sens = SensitivityModel()
-        values = [theoretical_error_envelope(l, 2, 16, budget, sens) for l in range(17)]
+        values = [theoretical_error_envelope(l, binary_tree, budget, sens) for l in range(17)]
         assert values[0] == 0.0
         assert all(a < b for a, b in zip(values, values[1:]))
 
-    def test_validation(self, budget):
+    def test_validation(self, binary_tree, budget):
         sens = SensitivityModel()
         with pytest.raises(ValueError):
-            theoretical_error_envelope(-1, 2, 16, budget, sens)
+            theoretical_error_envelope(-1, binary_tree, budget, sens)
         with pytest.raises(ValueError):
-            theoretical_error_envelope(17, 2, 16, budget, sens)
+            theoretical_error_envelope(17, binary_tree, budget, sens)
