@@ -148,8 +148,10 @@ class TestCalibration:
                     params.append((sens.gs2_squared, rho2, sens.gs2_squared / rho2))
                     for depth in range(1, 31):
                         shares = depth + (privacy == "unbounded")  # levels and root
-                        params.append((sens.level_gs2_squared * shares, rho2,
-                                       per_level_sigma2(budget, sens, depth)))
+                        level = sens.level_gs2_squared * shares
+                        params.append((level, rho2, level / rho2))
+                        assert per_level_sigma2(budget, sens, depth) == snap_parameter(
+                            level, rho2, "it", budget)
                         params.append((m * m * shares, rho2, m * m * shares / rho2))
         for numerator, denominator, value in params:
             snapped = snap_parameter(numerator, denominator, "it", budget)
@@ -251,13 +253,15 @@ BUDGET = PrivacyBudget.from_rho(1.0)
         lambda: sample_discrete_gaussian(0, random.Random(0)),
         lambda: sample_discrete_laplace(-1, random.Random(0)),
         lambda: theoretical_error_envelope(1, TREE, BUDGET, beta=1.0),
+        lambda: theoretical_error_envelope(1, TREE, BUDGET, beta=0.0),
         lambda: theoretical_error_envelope(5, TREE, BUDGET),
         lambda: theoretical_error_envelope(-1, TREE, BUDGET),
     ],
     ids=["rho-0", "rho-delta-1.5", "eps-inf", "delta-0", "eps-from-rho-negative",
          "rho-from-eps-negative", "privacy-sideways", "m-0", "sigma2-depth-0",
          "threshold-eps-0", "gauss-sigma2-0", "laplace-scale-negative",
-         "envelope-beta-1", "envelope-level-too-deep", "envelope-level-negative"],
+         "envelope-beta-1", "envelope-beta-0", "envelope-level-too-deep",
+         "envelope-level-negative"],
 )
 def test_parameter_check_raises_config_error(check):
     # a ConfigError is what the CLI turns into exit 4; it is also a ValueError

@@ -1,5 +1,7 @@
 """Hierarchy parsing, trip ingestion, tree structure, and range queries."""
 
+from itertools import product
+
 import pytest
 from rollup_oracle import parent_key
 
@@ -14,6 +16,12 @@ from inftda import (
     parse_hierarchy,
     validate_consistency,
 )
+
+
+def _grid(b, g):
+    """Leaf paths of a g-level hierarchy whose every area splits b ways."""
+    return [tuple("".join(map(str, path[:i + 1])) for i in range(g))
+            for path in product(range(b), repeat=g)]
 
 
 class TestParseHierarchy:
@@ -203,6 +211,35 @@ class TestHierTree:
             HierTree("sideways", origin_hier, dest_hier, [{} for _ in range(5)])
         with pytest.raises(DataError, match="level maps"):
             HierTree("destination", origin_hier, dest_hier, [{}])
+
+    @pytest.mark.parametrize(
+        "origin_rows, dest_rows",
+        [
+            (_grid(2, 2), _grid(2, 2)),
+            (_grid(3, 1), _grid(3, 1)),
+            (_grid(2, 2), _grid(3, 2)),
+            ([("N", "N.a"), ("N", "N.b"), ("S", "S.c")], _grid(2, 2)),
+            ([("N", "N.a"), ("N", "N.b"), ("N", "N.c"), ("S", "S.a"), ("S", "S.b"),
+              ("S", "S.c")], [("E", "E.a"), ("E", "E.b"), ("E", "E.c"), ("W", "W.a"),
+                              ("W", "W.b"), ("W", "W.c")]),
+            ([("N", "N.a")], [("E", "E.a")]),
+        ],
+        ids=["binary", "ternary", "sides-differ", "one-area-differs", "levels-differ",
+             "one-child"],
+    )
+    @pytest.mark.parametrize("mode", ["destination", "origin"])
+    def test_full_expansion_visits_each_component_level_pair_once(
+        self, origin_rows, dest_rows, mode
+    ):
+        # the error envelope counts its noise coordinates as the area products
+        # at component_levels; expanding every node must reach exactly those keys
+        origin, dest = parse_hierarchy(origin_rows), parse_hierarchy(dest_rows)
+        tree = HierTree(mode, origin, dest, [{} for _ in range(2 * origin.levels + 1)])
+        keys = [(ROOT_AREA, ROOT_AREA)]
+        for depth in range(1, tree.depth + 1):
+            keys = [c for key in keys for c in tree.child_keys(key, depth - 1)]
+            o, d = tree.component_levels(depth)
+            assert sorted(keys) == sorted(product(origin.areas(o), dest.areas(d)))
 
     def test_empty_table_builds_zero_root(self, origin_hier, dest_hier):
         table = ingest_trips([], origin_hier, dest_hier)

@@ -42,6 +42,8 @@ SIGMA2S = [
     per_level_sigma2(BUDGET, SensitivityModel(), 20),
     10**6,
 ]
+# the per-level variances keep the ids they had as floats
+SIGMA2_IDS = ["Fraction(1, 3)", "4", *(repr(float(s)) for s in SIGMA2S[2:4]), "1000000"]
 SCALES = [
     2,
     Fraction(2) / Fraction(1.0).limit_denominator(RATIONAL_LIMIT),
@@ -49,7 +51,8 @@ SCALES = [
     Fraction(1, 3),
 ]
 SAMPLERS = [
-    pytest.param(sample_discrete_gaussian, s, id=f"gauss-{s!r}") for s in SIGMA2S
+    pytest.param(sample_discrete_gaussian, s, id=f"gauss-{i}")
+    for s, i in zip(SIGMA2S, SIGMA2_IDS)
 ] + [
     pytest.param(sample_discrete_laplace, s, id=f"laplace-{s!r}") for s in SCALES
 ]
