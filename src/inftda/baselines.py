@@ -4,9 +4,10 @@ Two leaf-level mechanisms (flat Gaussian over the whole universe, and a
 stability histogram over the populated cells only) and one tree mechanism
 (the same top-down descent with a Euclidean projection instead of the
 Chebyshev solver). The leaf mechanisms return their released leaf map;
-``aggregate_up`` rolls it into per-depth maps so all mechanisms are comparable
-level by level. The Euclidean solve runs on plain-Python floats and is
-bit-identical to the frozen oracle in ``tests/l2_oracle.py``.
+``hierarchy.aggregate_leaf_map`` rolls it into per-depth maps so all
+mechanisms are comparable level by level. The Euclidean solve runs on
+plain-Python floats and is bit-identical to the frozen oracle in
+``tests/l2_oracle.py``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .dpcore import (
     substream,
 )
 from .errors import ConfigError
-from .hierarchy import Key, PartitionHierarchy, TripTable, aggregate_leaf_map
+from .hierarchy import Key, TripTable
 from .topdown import DPRelease, HierTree, ReleaseConfig, release
 
 __all__ = [
@@ -33,7 +34,6 @@ __all__ = [
     "vanilla_gauss",
     "stability_histogram",
     "tda_l2",
-    "aggregate_up",
 ]
 
 UNIVERSE_CAP = 10_000_000
@@ -44,18 +44,17 @@ def vanilla_gauss(
     budget: PrivacyBudget,
     sens: SensitivityModel = SensitivityModel(),
     seed: int = 0,
-    universe_cap: int = UNIVERSE_CAP,
 ) -> Dict[Key, int]:
     """Discrete Gaussian noise on every leaf cell of the full O/D universe.
 
     One shot at full budget: variance GS2^2 / (2 rho) per cell. Negative
     outputs are kept; the release size equals the universe size, which is why
-    the universe is capped (default 1e7 cells).
+    a universe above ``UNIVERSE_CAP`` cells is refused.
     """
     universe = table.universe_size
-    if universe > universe_cap:
+    if universe > UNIVERSE_CAP:
         raise ConfigError(
-            f"universe has {universe} cells, above the cap {universe_cap}; "
+            f"universe has {universe} cells, above the cap {UNIVERSE_CAP}; "
             f"this mechanism materializes every cell"
         )
     sigma2 = snap_parameter(sens.gs2_squared, 2.0 * budget.rho, "the sigma2", budget)
@@ -141,17 +140,3 @@ def tda_l2(tree: HierTree, config: ReleaseConfig) -> DPRelease:
     Two children take a closed form with the same result, exact in integers.
     """
     return release(tree, config, mechanism="tda-l2", _solver=_euclidean_solver)
-
-
-def aggregate_up(
-    leaf_values: Dict[Key, int],
-    origin: PartitionHierarchy,
-    dest: PartitionHierarchy,
-    mode: str = "destination",
-) -> List[Dict[Key, int]]:
-    """Roll a leaf-level release up into per-depth maps (depth 0..2g).
-
-    Negative leaf values participate; aggregates canceling to exactly zero are
-    dropped (absent keys read as zero everywhere).
-    """
-    return aggregate_leaf_map(leaf_values, origin, dest, mode)

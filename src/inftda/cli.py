@@ -19,7 +19,6 @@ import sys
 from dataclasses import fields
 from typing import List, Optional
 
-from .baselines import UNIVERSE_CAP
 from .dataio import (
     load_dataset,
     make_output_dir,
@@ -137,7 +136,6 @@ _SWEEP_CONFIG = {
     "seed": _integer,
     "order": lambda value: ORDER_FLAGS[_text(*ORDER_FLAGS)(value)],
     "tree": _text("destination", "origin"),
-    "universe_cap": _integer,
     "beta": _number,
 }
 
@@ -238,7 +236,7 @@ def cmd_release(args: argparse.Namespace) -> int:
     )
     # leaf-only mechanisms never read the true tree, so it is not built for them
     tree = None if MECHANISMS[args.mechanism].leaf_only else build_tree(table, args.tree)
-    rel = run_release(args.mechanism, table, args.tree, tree, config, args.universe_cap)
+    rel = run_release(args.mechanism, table, args.tree, tree, config)
 
     write_release_csv(dict(enumerate(rel.tree.levels)), args.out)
     meta_path = args.meta or sidecar_path(args.out, ".meta.json")
@@ -303,6 +301,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _config_fields(read_json(args.config), _SWEEP_CONFIG, "sweep config")
     if ("data" in cfg) == ("synth" in cfg):
         raise ConfigError("give the sweep a 'data' path or a 'synth' block, not both")
+    # each cell's report is named by its mechanism and f"{epsilon:g}" below
+    for key, label in (("mechanisms", str), ("epsilons", "{:g}".format)):
+        if len(set(map(label, cfg.get(key, ())))) < len(cfg.get(key, ())):
+            raise ConfigError(f"the sweep config's {key!r} has two entries that name one report")
     sens = SensitivityModel(**{f.name: cfg.pop(f.name) for f in fields(SensitivityModel)
                                if f.name in cfg})
     if "data" in cfg:
@@ -384,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="one user's trips may repeat the same O/D pair",
     )
     p.add_argument("--tree", choices=["destination", "origin"], default="destination")
-    p.add_argument("--universe-cap", type=int, default=UNIVERSE_CAP)
     p.add_argument("--out", required=True, help="release CSV path")
     p.add_argument("--meta", default=None, help="metadata JSON path (default: <out>.meta.json)")
     p.set_defaults(func=cmd_release)

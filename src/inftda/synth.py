@@ -54,6 +54,11 @@ class SynthSpec:
             raise ConfigError(f"sparsity must lie in (0, 1], got {self.sparsity!r}")
         if not self.exponent > 0:
             raise ConfigError("Pareto exponent must be > 0")
+        try:
+            (2.0**-53) ** (-1.0 / self.exponent)  # the largest draw, at rng.random() = 1 - 2**-53
+        except OverflowError:
+            raise ConfigError(
+                "Pareto exponent must be >= 53/1024, or the largest draw overflows") from None
 
     @property
     def depth(self) -> int:

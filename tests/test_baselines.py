@@ -18,12 +18,9 @@ from inftda import (
     validate_consistency,
     vanilla_gauss,
 )
-from inftda.baselines import (
-    _euclidean_solver,
-    _project_to_simplex,
-    _round_preserving_sum,
-    aggregate_up,
-)
+from inftda import baselines
+from inftda.baselines import _euclidean_solver, _project_to_simplex, _round_preserving_sum
+from inftda.hierarchy import aggregate_leaf_map
 from l2_oracle import euclidean_solve as oracle_solve
 
 
@@ -45,9 +42,10 @@ class TestVanillaGauss:
         assert a == b
         assert a != vanilla_gauss(trip_table, budget, seed=4)
 
-    def test_universe_cap(self, trip_table, budget):
+    def test_universe_cap(self, trip_table, budget, monkeypatch):
+        monkeypatch.setattr(baselines, "UNIVERSE_CAP", 8)
         with pytest.raises(ConfigError, match="cap"):
-            vanilla_gauss(trip_table, budget, seed=0, universe_cap=8)
+            vanilla_gauss(trip_table, budget, seed=0)
 
     def test_high_budget_recovers_the_truth(self, trip_table):
         leaf = vanilla_gauss(trip_table, PrivacyBudget.from_rho(1e6), seed=0)
@@ -216,12 +214,13 @@ class TestTdaL2:
 
 class TestAggregateUp:
     def test_matches_build_tree_on_true_leaves(self, trip_table):
-        maps = aggregate_up(trip_table.counts, trip_table.origin, trip_table.dest)
+        maps = aggregate_leaf_map(
+            trip_table.counts, trip_table.origin, trip_table.dest, "destination")
         assert maps == build_tree(trip_table).levels
 
     def test_negative_leaves_participate(self, origin_hier, dest_hier):
-        maps = aggregate_up(
-            {("N.a", "E.x"): 5, ("N.b", "E.x"): -3}, origin_hier, dest_hier
+        maps = aggregate_leaf_map(
+            {("N.a", "E.x"): 5, ("N.b", "E.x"): -3}, origin_hier, dest_hier, "destination"
         )
         assert maps[0] == {("__all__", "__all__"): 2}
         assert maps[2][("N", "E")] == 2

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import inftda
-from inftda import cli, evaluate
+from inftda import baselines, cli, evaluate
 from inftda.cli import main
 
 
@@ -174,8 +174,8 @@ class TestPipeline:
             "synth": {**synth, "k_min": 2, "k_max": 10, "exponent": 2.0},
             "mechanisms": list(evaluate.MECHANISMS), "epsilons": [1.0], "delta": 1e-8,
             "repeats": 10, "seed": 0, "order": "asc", "tree": "destination",
-            "privacy": "bounded", "m": 1, "distinct": True, "universe_cap": 10_000_000,
-            "beta": 0.01, "out_dir": ".",
+            "privacy": "bounded", "m": 1, "distinct": True, "beta": 0.01,
+            "out_dir": ".",
         }
         reports = {}
         for name, cfg in (("bare", {"synth": synth}), ("explicit", explicit)):
@@ -199,13 +199,15 @@ class TestExitCodes:
     def test_usage_error_is_2(self):
         assert run("release", "--mechanism", "inftda") == 2  # --data missing
         assert run("release", "--data", "x", "--mechanism", "bogus", "--out", "y") == 2
+        assert run("release", "--data", "x", "--mechanism", "vanilla-gauss", "--rho", "1",
+                   "--universe-cap", "5", "--out", "y") == 2
         assert run() == 2
 
     def test_data_error_is_3(self, tmp_path):
         assert run("ingest", "--hierarchy-o", "missing.csv", "--hierarchy-d", "m.csv",
                    "--trips", "t.csv", "--out", str(tmp_path / "x.bin")) == 3
 
-    def test_config_error_is_4(self, dataset, tmp_path):
+    def test_config_error_is_4(self, dataset, tmp_path, monkeypatch):
         out = str(tmp_path / "x.csv")
         # no budget at all
         assert run("release", "--data", str(dataset), "--mechanism", "inftda",
@@ -220,8 +222,30 @@ class TestExitCodes:
         assert run("release", "--data", str(dataset), "--mechanism", "sh",
                    "--rho", "1", "--out", out) == 4
         # vanilla-gauss universe cap
+        monkeypatch.setattr(baselines, "UNIVERSE_CAP", 2)
         assert run("release", "--data", str(dataset), "--mechanism", "vanilla-gauss",
-                   "--rho", "1", "--universe-cap", "2", "--out", out) == 4
+                   "--rho", "1", "--out", out) == 4
+
+    def test_sweep_above_the_universe_cap_is_4_and_writes_no_report(
+        self, dataset, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(baselines, "UNIVERSE_CAP", 2)
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"data": str(dataset), "mechanisms": ["vanilla-gauss"],
+                                      "repeats": 2, "out_dir": str(tmp_path / "reports")}))
+        assert run("sweep", "--config", str(config)) == 4
+        assert "above the cap 2" in capsys.readouterr().err
+        assert list((tmp_path / "reports").glob("report_*")) == []
+
+    def test_synth_exponent_below_the_bound_is_4(self, tmp_path, capsys):
+        # below 53/1024 the largest Pareto draw overflows a float
+        assert run("synth", "--levels", "2", "--exponent", "0.001",
+                   "--out", str(tmp_path / "ds")) == 4
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"synth": {"levels": 2, "exponent": 0.001},
+                                      "repeats": 1, "out_dir": str(tmp_path)}))
+        assert run("sweep", "--config", str(config)) == 4
+        assert capsys.readouterr().err.count("53/1024") == 2
 
     @pytest.mark.parametrize(
         "budget",
@@ -414,13 +438,15 @@ class TestExitCodes:
             {"workers": 2},
             {"epsilons": [True]},
             {"delta": "1e-8"},
+            {"epsilons": [1, 1.0000001]},
+            {"mechanisms": ["inftda", "inftda"]},
         ],
         ids=["order-list", "out-dir-number", "branching-word", "branching-1", "beta-2",
              "tree-sideways", "mechanisms-string", "distinct-string", "distinct-number",
              "m-float", "m-bool", "repeats-float", "repeats-bool", "seed-float",
              "workers-bool", "universe-cap-float", "branching-float", "universe-cap-bool",
              "data-and-synth", "unknown-epsilon", "unknown-workers", "eps-bool",
-             "delta-string"],
+             "delta-string", "epsilons-same-report", "mechanisms-repeated"],
     )
     def test_malformed_sweep_config_is_4_before_any_release(
         self, dataset, tmp_path, monkeypatch, capsys, bad

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from inftda import ConfigError, SPARSITY_NAMES, SynthSpec, gen_dataset, gen_flows, gen_partition
+from inftda.synth import _pareto_flow
 
 
 class TestSynthSpec:
@@ -32,6 +33,19 @@ class TestSynthSpec:
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             SynthSpec(**kwargs)
+
+    def test_exponent_bound_is_where_the_largest_draw_overflows(self):
+        class LargestDraw:
+            def random(self):
+                return 1.0 - 2.0**-53
+
+        bound = 53 / 1024
+        assert _pareto_flow(LargestDraw(), SynthSpec(exponent=bound).exponent) > 2**1023
+        below = math.nextafter(bound, 0.0)
+        with pytest.raises(OverflowError):
+            _pareto_flow(LargestDraw(), below)
+        with pytest.raises(ConfigError, match="53/1024"):
+            SynthSpec(exponent=below)
 
 
 def arities(hier, level):
