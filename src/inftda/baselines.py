@@ -7,7 +7,8 @@ Chebyshev solver). The leaf mechanisms return their released leaf map;
 ``hierarchy.aggregate_leaf_map`` rolls it into per-depth maps so all
 mechanisms are comparable level by level. The Euclidean solve runs on
 plain-Python floats and is bit-identical to the frozen oracle in
-``tests/l2_oracle.py``.
+``tests/l2_oracle.py`` wherever floats hold its integers exactly (up to 2**53);
+past that it runs in exact integer arithmetic, so every release keeps its sums.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ __all__ = [
 ]
 
 UNIVERSE_CAP = 10_000_000
+
+# every integer of at most this magnitude is a float exactly
+_FLOAT_EXACT = 2**53
 
 
 def vanilla_gauss(
@@ -117,24 +121,66 @@ def _round_preserving_sum(y: Sequence[float], total: int) -> List[int]:
     return floors
 
 
-def _euclidean_solver(noisy: Sequence[int], total: int, order: str, rng) -> Sequence[int]:
-    """Project ``noisy`` onto {y >= 0, sum = total} and round, keeping the sum.
+def _project_and_round_exactly(x: Sequence[int], total: int) -> List[int]:
+    """``_round_preserving_sum(_project_to_simplex(x, total), total)`` in exact
+    integer arithmetic: with k the support size and tau = num / k, each
+    projected value is max(v * k - num, 0) / k."""
+    u = sorted(x, reverse=True)
+    sums = list(accumulate(u))
+    k = sum(j * a > s - total for j, (a, s) in enumerate(zip(u, sums), 1))
+    num = sums[k - 1] - total
+    scaled = [max(v * k - num, 0) for v in x]
+    floors = [v // k for v in scaled]
+    by_fraction = sorted(range(len(x)), key=lambda i: scaled[i] % k, reverse=True)
+    for i in by_fraction[:total - sum(floors)]:
+        floors[i] += 1
+    return floors
 
-    Plain-Python floats, in the same order of operations as the solve as first
-    written (frozen in ``tests/l2_oracle.py``), so every output is bit-identical.
+
+def _project_and_round(x: Sequence[int], total: int) -> List[int]:
+    """Project ``x`` onto {y >= 0, sum = total} and round, keeping the sum.
+
+    In floats, in the same order of operations as the solve as first written
+    (frozen in ``tests/l2_oracle.py``), so the outputs are bit-identical, while
+    every value, the total and every partial sum the projection forms is an
+    integer of at most 2**53, which a float holds exactly. Past that, or where
+    the float rounding loses the sum anyway (it can near 2**53), the solve
+    runs in exact arithmetic.
     """
-    if len(noisy) == 2:
-        # clamp((a - b + total) / 2, 0, total); the index tie-break rounds a half up
-        first = min(max(-((noisy[1] - noisy[0] - total) // 2), 0), total)
-        return [first, total - first]
-    return _round_preserving_sum(_project_to_simplex([float(v) for v in noisy], total), total)
+    if total == 0:
+        return [0] * len(x)
+    sums = list(accumulate(sorted(x, reverse=True)))
+    if max(max(sums), total) <= _FLOAT_EXACT and min(min(x), min(sums) - total) >= -_FLOAT_EXACT:
+        values = _round_preserving_sum(_project_to_simplex([float(v) for v in x], total), total)
+        if sum(values) == total:
+            return values
+    return _project_and_round_exactly(x, total)
+
+
+def _euclidean_solver(noisy: Sequence[int], sizes: Sequence[int], totals: Sequence[int],
+                      order: str, rng) -> List[int]:
+    """Project each segment of ``noisy`` (``sizes[i]`` children of a parent
+    with total ``totals[i]``) onto {y >= 0, sum = total} and round, keeping
+    the sum; returns the segments' values concatenated. Reads no order and no rng.
+    """
+    values: List[int] = []
+    pos = 0
+    for d, total in zip(sizes, totals):
+        if d == 2:
+            # clamp((a - b + total) / 2, 0, total); the index tie-break rounds a half up
+            first = min(max(-((noisy[pos + 1] - noisy[pos] - total) // 2), 0), total)
+            values += (first, total - first)
+        else:
+            values += _project_and_round(noisy[pos:pos + d], total)
+        pos += d
+    return values
 
 
 def tda_l2(tree: HierTree, config: ReleaseConfig) -> DPRelease:
-    """Top-down release with per-parent Euclidean projection and rounding.
+    """Top-down release with a Euclidean projection and rounding per parent.
 
-    Identical descent and noise to the main mechanism; only the per-parent
-    solve differs: project the noisy children onto the real simplex
+    Identical descent and noise to the main mechanism; only the solve
+    differs: project each parent's noisy children onto the real simplex
     {y >= 0, sum = parent}, floor, and distribute the remainder to the largest
     fractional parts. It reads no visit order, so the release states none.
     Two children take a closed form with the same result, exact in integers.

@@ -14,6 +14,14 @@ reduces the largest first (fewest spurious zeros), random emulates an
 arbitrary optimum. ``intopt_fast`` returns the same solution in closed form
 for d <= 2, where every parent of a binary hierarchy lands.
 
+``intopt_level`` solves a whole level of such problems in one call: the
+children of many parents, concatenated in parent order, with each parent's
+child count and target total. It returns the concatenated solutions, each
+exactly what ``intopt_fast`` returns for its segment; with the random order
+the segments take their shuffles from the one rng in segment order. The d = 2
+closed form runs inline there, since a call per parent would cost more than
+the solve itself, and ``intopt_fast`` reaches it through that same code.
+
 All arithmetic is exact (Python integers), so there is no overflow path.
 """
 
@@ -23,7 +31,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-__all__ = ["OptResult", "ORDERS", "intopt_fast"]
+__all__ = ["OptResult", "ORDERS", "intopt_fast", "intopt_level"]
 
 ORDERS = ("ascending", "descending", "random")
 
@@ -60,9 +68,7 @@ def intopt_fast(
 
     It has a closed form for d <= 2 and two shortcuts above the loop.
 
-    For d = 2, with T = c - a - b and base = ceil(T / 2), it is (0, c) if
-    base < -a, (c, 0) if base < -b, else (a + base, b + base) with, for odd T,
-    one unit off the first still-positive coordinate in visiting order.
+    For d = 2 it takes ``intopt_level``'s closed form.
 
     Above that, coordinates already clipped to -x_i are dropped from the
     rotation at each wrap (they can only no-op), and the radius jumps by the
@@ -78,20 +84,8 @@ def intopt_fast(
     if d == 1:
         return OptResult((c,), abs(c - xs[0]))
     if d == 2:
-        a, b = xs
-        if order == "ascending" or order == "descending":  # ties go to index 0
-            first = int(b < a if order == "ascending" else a < b)
-        else:  # validates the order and shuffles as the loop would
-            first = _order_indices(xs, order, rng)[0]
-        target = c - a - b
-        base = -((-target) // 2)
-        if base < -min(a, b):  # the smaller coordinate clips to 0 (a != b here)
-            y = [0, c] if a < b else [c, 0]
-        else:
-            y = [a + base, b + base]
-            if 2 * base > target:
-                y[first if y[first] > 0 else 1 - first] -= 1
-        return OptResult(tuple(y), max(abs(y[0] - a), abs(y[1] - b)))
+        y = intopt_level(xs, (2,), (c,), order, rng)
+        return OptResult(tuple(y), max(abs(y[0] - xs[0]), abs(y[1] - xs[1])))
     target = c - sum(xs)
     # the smallest uniform offset covering the target, lifted to feasibility
     base = -((-target) // d)
@@ -118,3 +112,51 @@ def intopt_fast(
             step = (zsum - target) // len(active)
             t += step if step > 1 else 1
     return OptResult(tuple(v + dz for v, dz in zip(xs, z)), max(map(abs, z)))
+
+
+def intopt_level(
+    noisy: Sequence[int],
+    sizes: Sequence[int],
+    totals: Sequence[int],
+    order: str = "ascending",
+    rng: Optional[random.Random] = None,
+) -> List[int]:
+    """Solve consecutive segments of ``noisy``, the i-th holding ``sizes[i]``
+    coordinates with target sum ``totals[i]``; returns the solutions concatenated.
+
+    Each segment gets exactly ``intopt_fast(segment, total, order, rng).values``,
+    in segment order, so a random order shuffles from ``rng`` segment by
+    segment. For d = 2, with T = c - a - b and base = ceil(T / 2), that is
+    (0, c) if base < -a, (c, 0) if base < -b, else (a + base, b + base) with,
+    for odd T, one unit off the first still-positive coordinate in visiting
+    order (ties go to index 0; a random order shuffles the pair as the loop would).
+    """
+    if order not in ORDERS:
+        raise ValueError(f"order must be one of {ORDERS}, got {order!r}")
+    if min(sizes, default=1) < 1 or sum(sizes) != len(noisy) or len(totals) != len(sizes):
+        raise ValueError("segments must be non-empty, cover the input and have one total each")
+    if min(totals, default=0) < 0:
+        raise ValueError(f"target sums must be non-negative, got {min(totals)!r}")
+    ascending, shuffled = order == "ascending", order == "random"
+    values: List[int] = []
+    pos = 0
+    for d, c in zip(sizes, totals):
+        if d == 2:
+            a, b = noisy[pos], noisy[pos + 1]
+            if shuffled:
+                first = _order_indices([a, b], order, rng)[0]
+            else:
+                first = int(b < a if ascending else a < b)
+            target = c - a - b
+            base = -((-target) // 2)
+            if base < -(a if a < b else b):  # the smaller one clips to 0 (a != b here)
+                values += (0, c) if a < b else (c, 0)
+            else:
+                y = [a + base, b + base]
+                if 2 * base > target:
+                    y[first if y[first] > 0 else 1 - first] -= 1
+                values += y
+        else:
+            values += intopt_fast(noisy[pos:pos + d], c, order, rng).values
+        pos += d
+    return values

@@ -2,8 +2,8 @@
 
 The engine walks the true tree from the root down. Each released parent's full
 child universe (from the hierarchies, so zero children are noised too) gets
-exact integer Gaussian noise, and a per-parent solver turns the noisy vector
-into non-negative integers summing to the parent's released attribute. Only
+exact integer Gaussian noise, and a solver turns each noisy vector into
+non-negative integers summing to the parent's released attribute. Only
 positive children survive to be expanded, so sparsity propagates and the huge
 empty part of the universe is never materialized.
 
@@ -22,9 +22,11 @@ Noise is keyed, never drawn in scheduling order. Down to the block frontier,
 the first depth whose released level holds at least ``BLOCK_NODES`` nodes,
 each parent draws from its own substream keyed by (seed, depth, node key).
 Each frontier node roots a block: one substream keyed by (seed, "block",
-frontier depth, node key) serves every parent below it, consumed depth by
-depth with the parents in sorted key order. Choosing the frontier reads
-released values only, so it is post-processing.
+frontier depth, node key) serves every parent below it. Per stream and
+depth, the noise of all the parents' children comes first, in sorted parent
+order and one sampler call, then one solver call over them all (in random
+visit order it takes its shuffles from the stream, parent by parent).
+Choosing the frontier reads released values only, so it is post-processing.
 
 Once a node's released total is fixed, its subtree depends on nothing else,
 so the blocks are independent jobs. With W usable CPUs (the process's CPU
@@ -47,6 +49,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import chain, compress, repeat
+from operator import add
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import parallel
@@ -59,7 +63,7 @@ from .dpcore import (
 )
 from .errors import ConfigError
 from .hierarchy import ROOT_AREA, HierTree, Key
-from .intopt import ORDERS, intopt_fast
+from .intopt import ORDERS, intopt_fast, intopt_level  # noqa: F401 - perfbench traces intopt_fast
 
 __all__ = [
     "ReleaseConfig",
@@ -68,8 +72,8 @@ __all__ = [
     "theoretical_error_envelope",
 ]
 
-# per-parent solver: (noisy child vector, parent total, order, rng) -> child values
-Solver = Callable[[Sequence[int], int, str, object], Sequence[int]]
+# level solver, as ``intopt.intopt_level``: (noisy, sizes, totals, order, rng) -> values
+Solver = Callable[[List[int], List[int], List[int], str, object], Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -122,16 +126,12 @@ class DPRelease:
         }
 
 
-def _chebyshev_solver(noisy: Sequence[int], total: int, order: str, rng) -> Sequence[int]:
-    return intopt_fast(noisy, total, order, rng).values
-
-
-# Fewest true tree nodes (all depths) for which the split runs. Measured on a
-# 2-vCPU VM, Python 3.11, in an 84 MB process: a bare fork, exit and reap
-# costs 1.0 ms; serial release costs 2.6-3.6 us per true node; two workers
-# lose at 511 nodes (1.8 ms serial, 2.3 ms split), break even near 1,300
-# (random 2-level tree, 1,325 nodes: 3.8 ms either way) and win 1.3x at 2,047
-# (complete binary, 5 levels per side) and 1.9x at 131,071.
+# Fewest true tree nodes (all depths) for which the split runs, from a bare
+# fork, exit and reap against the serial cost per node (2-vCPU VM, Python
+# 3.11, 21-47 MB process): a fork costs 1.0-2.2 ms, and serial release
+# 2.6-3.9 us per node on trees of 2,047-2,704 nodes (most parents lie above
+# the block frontier, one solve each) and 1.0-1.4 us from 8,191 nodes on, so
+# two workers recover a fork from about 2 * 2.2 ms / 2.6 us = 1,700 nodes.
 PARALLEL_MIN_NODES = 2_000
 
 # The block frontier is the first depth whose released level holds at least
@@ -165,7 +165,7 @@ def release(
     Euclidean baseline plugs in its own solver through ``_solver``, which reads
     no visit order, so that release is not ``ordered``.
     """
-    solver = _solver or _chebyshev_solver
+    solver = _solver or intopt_level
     depth_total = tree.depth
     sens = config.sensitivity
     sigma2 = per_level_sigma2(config.budget, sens, depth_total)
@@ -185,22 +185,22 @@ def release(
     wall_ms[0] = (time.perf_counter() - start) * 1000.0
 
     def expand(parents: Dict[Key, int], depth: int, block=None) -> Dict[Key, int]:
-        """The released children at ``depth`` of the positive ``parents``, noised
-        from the ``block`` stream, or from one stream per parent without one."""
-        true_map = tree.levels[depth]
+        """The released children at ``depth`` of the positive ``parents``. The
+        ``block`` stream serves them all, or each parent has its own stream;
+        per stream, all the noise comes first, then one solve over it."""
+        true_get = tree.levels[depth].get
+        keys = [key for key in sorted(parents) if parents[key] > 0]
+        units = [(keys, block)] if block is not None else [
+            ([key], substream(config.seed, depth - 1, key[0], key[1])) for key in keys]
         current: Dict[Key, int] = {}
-        for parent_key in sorted(parents):
-            total = parents[parent_key]
-            if total <= 0:
-                continue
-            children = tree.child_keys(parent_key, depth - 1)
-            rng = block or substream(config.seed, depth - 1, parent_key[0], parent_key[1])
+        for group, rng in units:
+            universes = [tree.child_keys(key, depth - 1) for key in group]
+            children = list(chain.from_iterable(universes))
             noise = sample_discrete_gaussian(sigma2, rng, size=len(children))
-            noisy = [true_map.get(child, 0) + z for child, z in zip(children, noise)]
-            values = solver(noisy, total, config.order, rng)
-            for child, value in zip(children, values):
-                if value > 0:
-                    current[child] = int(value)
+            noisy = list(map(add, map(true_get, children, repeat(0)), noise))
+            values = solver(noisy, list(map(len, universes)), [parents[key] for key in group],
+                            config.order, rng)
+            current.update(compress(zip(children, values), values))  # the positive ones
         return current
 
     depth = 1

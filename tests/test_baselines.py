@@ -1,6 +1,8 @@
 """Leaf-level baselines and the Euclidean-projection release variant."""
 
 import random
+from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -139,6 +141,34 @@ class TestSimplexProjection:
         assert _round_preserving_sum([0.5, 0.5, 0.0], 2) == [1, 1, 0]
 
 
+def solve(x, total):
+    """The ``tda-l2`` solve of one parent: a level of one segment."""
+    return _euclidean_solver(x, [len(x)], [total], "ascending", None)
+
+
+def floats_hold_exactly(x, total):
+    """Whether every value, the total, every partial sum of the values sorted
+    descending and every such sum minus the total is an integer within 2**53."""
+    sums = list(accumulate(sorted(x, reverse=True)))
+    return all(abs(v) <= 2**53 for v in [*x, total, *sums, *(s - total for s in sums)])
+
+
+def exact_solve(x, total):
+    """Euclidean projection onto {y >= 0, sum = total} in fractions, then the
+    floor and the remainder to the largest fractional parts, ties by index."""
+    if total == 0:
+        return [0] * len(x)
+    u = sorted(x, reverse=True)
+    shifted = [Fraction(s - total, k) for k, s in enumerate(accumulate(u), 1)]
+    tau = shifted[sum(a > t for a, t in zip(u, shifted)) - 1]
+    y = [max(v - tau, 0) for v in x]
+    floors = [v.numerator // v.denominator for v in y]
+    by_fraction = sorted(range(len(x)), key=lambda i: (-(y[i] - floors[i]), i))
+    for i in by_fraction[:total - sum(floors)]:
+        floors[i] += 1
+    return floors
+
+
 def oracle_cases(count, seed):
     """Seeded (noisy children, parent total) pairs for every fan-out but two."""
     rng = random.Random(seed)
@@ -164,12 +194,51 @@ def oracle_cases(count, seed):
 class TestEuclideanSolver:
     def test_matches_the_frozen_oracle(self):
         # the tie and rounding cases also catch a reversed index tie-break
-        # and a support counted with >= instead of >
-        mismatches = [
-            (x, total) for x, total in oracle_cases(100_000, seed=11)
-            if _euclidean_solver(x, total, "ascending", None) != oracle_solve(x, total)
-        ]
+        # and a support counted with >= instead of >; where a partial sum
+        # passes 2**53 the floats round, so the solve is the exact one there
+        exact, mismatches = 0, []
+        for x, total in oracle_cases(100_000, seed=11):
+            if floats_hold_exactly(x, total):
+                expected = oracle_solve(x, total)
+            else:
+                exact += 1
+                expected = exact_solve(x, total)
+            if solve(x, total) != expected:
+                mismatches.append((x, total))
         assert mismatches == []
+        assert exact > 1000
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_totals_near_1e29_keep_their_sum(self, d):
+        rng = random.Random(d)
+        for _ in range(200):
+            total = 10**29 + rng.randint(-10**27, 10**27)
+            x = [total // d + rng.randint(-10**25, 10**25) for _ in range(d)]
+            x[rng.randrange(d)] = -rng.randint(0, 10**28)
+            values = solve(x, total)
+            assert sum(values) == total and min(values) >= 0
+            assert values == exact_solve(x, total)
+
+    def test_float_rounding_that_loses_the_sum_is_redone_exactly(self):
+        # every integer here is within 2**53, yet the float projection
+        # rounds its way to a wrong sum
+        x = [1644955207580753, 1644955207580757, 1644955207580760]
+        total = 2**53 - 4
+        assert floats_hold_exactly(x, total)
+        assert sum(oracle_solve(x, total)) != total
+        assert solve(x, total) == exact_solve(x, total)
+
+    def test_a_level_solves_each_segment_alone(self):
+        rng = random.Random(4)
+        for _ in range(300):
+            segments = [[rng.randint(-30, 30) for _ in range(rng.randint(1, 6))]
+                        for _ in range(rng.randint(0, 8))]
+            totals = [rng.randint(0, 60) for _ in segments]
+            noisy = [v for segment in segments for v in segment]
+            expected = [v for segment, total in zip(segments, totals)
+                        for v in solve(segment, total)]
+            got = _euclidean_solver(noisy, list(map(len, segments)), totals, "random", None)
+            assert got == expected
 
 
 class TestTwoChildSolver:
@@ -177,7 +246,7 @@ class TestTwoChildSolver:
         for a in range(-15, 16):
             for b in range(-15, 16):
                 for total in range(41):
-                    assert _euclidean_solver((a, b), total, "ascending", None) == (
+                    assert solve([a, b], total) == (
                         oracle_solve([a, b], total)
                     ), (a, b, total)
 
@@ -187,7 +256,7 @@ class TestTwoChildSolver:
         for i in range(3000):
             a, b = rng.randint(-2**50, 2**50), rng.randint(-2**50, 2**50)
             total = 0 if i % 10 == 0 else rng.randint(0, 2**50)
-            assert _euclidean_solver((a, b), total, "ascending", None) == (
+            assert solve([a, b], total) == (
                 oracle_solve([a, b], total)
             ), (a, b, total)
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from intopt_oracle import brute_force_oracle, intopt_simple, lower_bound
 
 from inftda import ORDERS, intopt_fast
+from inftda.intopt import intopt_level
 
 vectors = st.lists(st.integers(min_value=-15, max_value=15), min_size=1, max_size=8)
 targets = st.integers(min_value=0, max_value=30)
@@ -133,3 +134,36 @@ class TestEdges:
             brute_force_oracle((1, 2, 3, 4, 5), 3)
         with pytest.raises(ValueError):
             brute_force_oracle((1, 2), 13)
+
+
+class TestLevel:
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_equals_one_intopt_fast_per_segment(self, order):
+        rng = random.Random(8)
+        for case in range(500):
+            segments = [[rng.randint(-20, 20) for _ in range(rng.choice((1, 2, 2, 3, 5)))]
+                        for _ in range(rng.randint(0, 10))]
+            totals = [rng.randint(0, 40) for _ in segments]
+            noisy = [v for segment in segments for v in segment]
+            level_rng, fast_rng = random.Random(case), random.Random(case)
+            got = intopt_level(noisy, list(map(len, segments)), totals, order, level_rng)
+            expected = [v for segment, total in zip(segments, totals)
+                        for v in intopt_fast(segment, total, order, fast_rng).values]
+            assert got == expected, (segments, totals)
+            # a random order takes its shuffles from the rng in segment order
+            assert level_rng.getstate() == fast_rng.getstate()
+
+    def test_bad_levels_rejected(self):
+        with pytest.raises(ValueError):
+            intopt_level([1, 2, 3], [2, 1], [3, -1])  # a negative total
+        with pytest.raises(ValueError):
+            intopt_level([1, 2], [2, 0], [3, 0])  # an empty segment
+        with pytest.raises(ValueError):
+            intopt_level([1, 2], [1], [3])  # segments that miss a coordinate
+        with pytest.raises(ValueError):
+            intopt_level([1, 2], [2], [3, 4])  # a total without a segment
+        with pytest.raises(ValueError):
+            intopt_level([1, 2], [2], [3], "sideways")
+        with pytest.raises(ValueError):
+            intopt_level([1, 2], [2], [3], "random")  # rng required
+        assert intopt_level([], [], []) == []

@@ -29,6 +29,7 @@ from inftda import (
 from inftda import topdown
 from inftda.evaluate import run_release
 from inftda.cli import main
+from inftda.intopt import intopt_level
 
 BUDGET = PrivacyBudget.from_eps_delta(1.0, 1e-8)
 
@@ -144,11 +145,11 @@ def test_wall_ms_after_the_split_sums_over_processes(tree, forks, monkeypatch):
 def _failing_in_workers(error):
     parent = os.getpid()
 
-    def solver(noisy, total, order, rng):
-        # the first parent a worker expands lies in that worker's group
+    def solver(noisy, sizes, totals, order, rng):
+        # the first level a worker solves lies in that worker's group
         if os.getpid() != parent:
             raise error
-        return topdown._chebyshev_solver(noisy, total, order, rng)
+        return intopt_level(noisy, sizes, totals, order, rng)
 
     return solver
 
@@ -180,10 +181,10 @@ def test_worker_dying_without_a_result_names_its_exit_status(tree, forks):
     forks.cpus(2)
     parent = os.getpid()
 
-    def solver(noisy, total, order, rng):
+    def solver(noisy, sizes, totals, order, rng):
         if os.getpid() != parent:
             os._exit(7)
-        return topdown._chebyshev_solver(noisy, total, order, rng)
+        return intopt_level(noisy, sizes, totals, order, rng)
 
     with pytest.raises(RuntimeError, match="exited with status 7 without a result"):
         release(tree, ReleaseConfig(budget=BUDGET, seed=0), _solver=solver)
@@ -197,12 +198,12 @@ def test_workers_are_reaped_when_the_parent_share_raises(tree, forks, monkeypatc
     parent = os.getpid()
     expanded = []
 
-    def solver(noisy, total, order, rng):
+    def solver(noisy, sizes, totals, order, rng):
         if os.getpid() == parent:
-            expanded.append(total)
+            expanded.extend(totals)
             if len(expanded) > 50:  # past the split: the workers are running
                 raise DataError("parent share failed")
-        return topdown._chebyshev_solver(noisy, total, order, rng)
+        return intopt_level(noisy, sizes, totals, order, rng)
 
     with pytest.raises(DataError, match="parent share failed"):
         release(tree, ReleaseConfig(budget=BUDGET, seed=0), _solver=solver)

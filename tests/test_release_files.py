@@ -39,14 +39,14 @@ DIGESTS = {
         "243ecaf508b34484c3ad87560e9d8735575aa9eef83f57fdccdbc08a177502b9",
     ),
     ("tda-linf-random", "destination", ()): (
-        "dcce035e8a0853ba65b2777f4df8a0df22d07b21c58d31a66d803bdf9bc47bf4",
-        "27c3352bc7d757819273c4c3fdd5e902a4ed3273459b0b66b468e6681d4300f3",
-        "a4a64dfe127e950deb18ec5da2e13fdd86484c556490ecde2c97c9ab5f43e26d",
+        "3f41671c6c6871a60a6610884a164486f0f4e50ad07279e564c1016714df3fed",
+        "e28161437f1a1f2c265ca2977c5b75821d401ac7d75e24c9295ed0a6c20cac66",
+        "70abe8568a4f8664d797df99e9d86da9ca274013d6ca3cab73a872100361fc97",
     ),
     ("tda-linf-random", "origin", ()): (
-        "8c7f9e6ac8054e86fc91c0e43aa1857f89cccbb3fc092bfd9d0d6a0486b73bb4",
-        "3577227c85dd001972993dc7f10fda25c504ea55deb4d8c5ead3169a14112120",
-        "eda28f2fce33ba1348f36dab4ecb7aacd62c3d4c7c357d2fbc79e478479a745c",
+        "93648f69af69fe8c6fa91b94050ed73afe04e7cc6d061629467f8de68dfa2805",
+        "a4e0b9f5fcab4206b2c0602dd58824d6b52c61ef9cfa8f398e91be1ea637b43b",
+        "f21d8e05cb699c37f0175ec80d1f4d8d0050647319777b8cdc204ada1b9a58e5",
     ),
     ("vanilla-gauss", "destination", ()): (
         "9783aec9c79055587eb526077ce6cdaf37bce673f3d8e775d2accc72d4c50ecf",

@@ -79,7 +79,7 @@ RELEASE_DIGESTS = {
     ("inftda", "descending"):
         "1d3c24d5dd66f3b3b3fe9bf11c36b1104293dd4d878c492954d3bce1cc3a34f5",
     ("inftda", "random"):
-        "e2ae54b6b89d51f8daae1b4e86085cc7893c7a3a126a161fee6d3ee98453810b",
+        "f01bc8aea647ca40d17a115ac4f31a64c4503b69a0508dfd91973529331ca359",
     ("tda-l2", "ascending"):
         "4d13ff4339295a069b6c0ddd565902c045f3dbf9bacec5cc639d86a014cdc324",
     ("vanilla-gauss", "ascending"):
@@ -96,7 +96,7 @@ ORACLE_DIGESTS = {
     ("inftda", "descending"):
         "acf12dd5cb21332566a856045916ef9fdeb1fe735f19e954213f64000371ee70",
     ("inftda", "random"):
-        "9d1ff739b9e4ce8747e56d369f4f68d0061eeeeff3417a89e436082c3216e22c",
+        "751846710272700da0faa6055eee5cc04d6473bbd22cfd20378e8301a631ad14",
     ("tda-l2", "ascending"):
         "54b3175f1d40c7a937e250142a6dac5cc7a3ef0608200f5b6b402e9955c57d10",
     ("vanilla-gauss", "ascending"):
