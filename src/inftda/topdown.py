@@ -128,10 +128,10 @@ class DPRelease:
 
 # Fewest true tree nodes (all depths) for which the split runs, from a bare
 # fork, exit and reap against the serial cost per node (2-vCPU VM, Python
-# 3.11, 21-47 MB process): a fork costs 1.0-2.2 ms, and serial release
-# 2.6-3.9 us per node on trees of 2,047-2,704 nodes (most parents lie above
-# the block frontier, one solve each) and 1.0-1.4 us from 8,191 nodes on, so
-# two workers recover a fork from about 2 * 2.2 ms / 2.6 us = 1,700 nodes.
+# 3.11, 21-47 MB process): a fork costs 1.0-2.4 ms, and serial release
+# 2.7-3.9 us per node on trees of 2,047-2,704 nodes (whose blocks are small,
+# so each call serves few parents) and 0.8-1.5 us from 8,191 nodes on, so
+# two workers recover a fork from about 2 * 2.4 ms / 2.7 us = 1,800 nodes.
 PARALLEL_MIN_NODES = 2_000
 
 # The block frontier is the first depth whose released level holds at least
