@@ -12,8 +12,9 @@ evaluate`` both score a release with ``released_levels`` and ``level_scores``.
 ``run_experiment`` runs a grid of (mechanism, epsilon) cells, each repeated
 with paired per-repeat seeds (repeat r uses the same derived seed for every
 mechanism, so per-seed comparisons are honest). The repeats of the whole grid
-are spread over every usable CPU by ``parallel``, the same fork scheduler the
-release uses; keyed substreams make the result identical for any CPU count.
+are spread over every usable CPU by the forked workers of ``parallel``, while
+each release runs on one CPU; keyed substreams make the result identical for
+any CPU count.
 Reports serialize to a CSV (one row per level, no timing columns, byte-stable
 for a fixed seed) plus a JSON envelope that additionally carries wall-clock
 numbers.
@@ -346,8 +347,8 @@ def run_experiment(
     Every mechanism name, budget and ``beta`` is checked before any job runs.
 
     Each repeat of each cell is one job. The jobs are dealt round-robin into
-    min(W, jobs) groups for ``parallel.run_split``, with W the usable CPUs; a
-    single group runs here, and then each release may split itself instead.
+    min(W, jobs) groups for ``parallel.run_split``, with W the usable CPUs;
+    the first group runs here. Each release runs on one CPU.
     """
     if repeats < 1:
         raise ConfigError("repeats must be >= 1")

@@ -270,17 +270,20 @@ class HierTree:
         split_dest, level, _, _ = self._steps[depth - 1]
         return (depth - level, level) if split_dest else (level, depth - level)
 
-    def child_keys(self, key: Key, depth: int) -> Tuple[Key, ...]:
-        """Full child universe of a node, from the hierarchies (not the data)."""
+    def child_keys(self, parents: Sequence[Key], depth: int) -> Tuple[List[Key], List[int]]:
+        """The full child universes of the depth-``depth`` ``parents``, from
+        the hierarchies (not the data): every child key, parent by parent in
+        the given order, and each parent's child count."""
         if not 0 <= depth < self.depth:
             self._check_depth(depth)
             raise DataError("leaf nodes have no children")
         split_dest, level, children, _ = self._steps[depth]
-        o, d = key
         try:
             if split_dest:
-                return tuple([(o, c) for c in children[d]])
-            return tuple([(c, d) for c in children[o]])
+                return ([(o, c) for o, d in parents for c in children[d]],
+                        [len(children[d]) for _, d in parents])
+            return ([(c, d) for o, d in parents for c in children[o]],
+                    [len(children[o]) for o, _ in parents])
         except KeyError as exc:
             raise DataError(f"unknown area {exc.args[0]!r} at level {level - 1}") from None
 

@@ -3,13 +3,8 @@
 ``run_split(groups, work, merge)`` calls ``merge(work(group))`` for every
 group: the first group in this process, each other group in one forked worker
 that pickles its result back through a pipe. ``usable_cpus`` says how many
-groups are worth making. The top-down release splits a tree's frontier this
-way, and a sweep splits its list of repeats.
-
-No split inside a split: while ``run_split`` runs two or more groups, in this
-process and in the workers it forks (they inherit the flag), ``usable_cpus``
-reports 1. So a release run by a sweep worker stays serial, and a sweep over
-W CPUs never has more than W live processes.
+groups are worth making. A sweep splits its list of repeats this way; a
+release runs in one process and never splits.
 """
 
 from __future__ import annotations
@@ -22,15 +17,11 @@ from typing import Callable, List, Sequence, Tuple
 
 __all__ = ["usable_cpus", "run_split"]
 
-# set while run_split runs two or more groups; forked workers inherit it
-_splitting = False
-
 
 def usable_cpus() -> int:
-    """W: the CPUs this process may run on, or 1 inside a split or where
-    forking is not allowed."""
+    """W: the CPUs this process may run on, or 1 where forking is not allowed."""
     # forking a process with other threads alive can deadlock the child
-    if _splitting or not hasattr(os, "fork") or threading.active_count() > 1:
+    if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity else os.cpu_count() or 1
@@ -93,11 +84,8 @@ def _collect(pid: int, read_fd: int):
 def run_split(groups: Sequence, work: Callable, merge: Callable) -> None:
     """``merge(work(group))`` for every group: the first in this process, the
     others in one forked worker each (or here, if the fork fails, say for a
-    process limit). Every worker is reaped on every path. A single group is a
-    plain call, so the work inside it may split itself.
+    process limit). Every worker is reaped on every path.
     """
-    global _splitting
-    outer, _splitting = _splitting, _splitting or len(groups) > 1
     workers: List[Tuple[int, int]] = []
     local = list(groups[:1])
     try:
@@ -112,7 +100,6 @@ def run_split(groups: Sequence, work: Callable, merge: Callable) -> None:
             pid, read_fd = workers.pop(0)
             merge(_collect(pid, read_fd))
     finally:
-        _splitting = outer
         for pid, read_fd in workers:
             os.close(read_fd)
             os.kill(pid, signal.SIGKILL)

@@ -28,20 +28,10 @@ order and one sampler call, then one solver call over them all (in random
 visit order it takes its shuffles from the stream, parent by parent).
 Choosing the frontier reads released values only, so it is post-processing.
 
-Once a node's released total is fixed, its subtree depends on nothing else,
-so the blocks are independent jobs. With W usable CPUs (the process's CPU
-affinity, from ``parallel.usable_cpus``), the blocks are dealt into
-min(W, blocks) groups of near-equal released total and handed to
-``parallel.run_split``: forked workers each expand one group, block by block,
-to the leaves and pipe their per-depth maps back, while this process expands
-the lightest group and then merges the others in. With W = 1 (which
-``parallel`` also reports when ``os.fork`` is missing, when another thread is
-alive, and inside another split, such as a sweep worker), or when the true
-tree has fewer than ``PARALLEL_MIN_NODES`` nodes, this process expands the
-same blocks itself. So the output is identical for every W; only dict
-insertion order within a level differs, and nothing reads it (writers and
-digests sort). Below the frontier, a depth's ``wall_ms`` is its time summed
-over all blocks and processes.
+The release runs in this process on one CPU and reads no CPU count. Above
+the frontier it expands one depth at a time; below it, it takes the blocks in
+sorted frontier order and expands each, depth by depth, to the leaves. So a
+depth's ``wall_ms`` below the frontier is its time summed over all blocks.
 """
 
 from __future__ import annotations
@@ -49,11 +39,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from operator import add
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
-from . import parallel
 from .dpcore import (
     PrivacyBudget,
     SensitivityModel,
@@ -126,31 +115,9 @@ class DPRelease:
         }
 
 
-# Fewest true tree nodes (all depths) for which the split runs, from a bare
-# fork, exit and reap against the serial cost per node (2-vCPU VM, Python
-# 3.11, 21-47 MB process): a fork costs 1.0-2.4 ms, and serial release
-# 2.7-3.9 us per node on trees of 2,047-2,704 nodes (whose blocks are small,
-# so each call serves few parents) and 0.8-1.5 us from 8,191 nodes on, so
-# two workers recover a fork from about 2 * 2.4 ms / 2.7 us = 1,800 nodes.
-PARALLEL_MIN_NODES = 2_000
-
 # The block frontier is the first depth whose released level holds at least
 # this many nodes; each of them roots a block noised from one stream.
 BLOCK_NODES = 64
-
-
-def _balanced_groups(frontier: Dict[Key, int], count: int) -> List[Dict[Key, int]]:
-    """Deal the blocks rooted at ``frontier`` into ``count`` groups of
-    near-equal released total, lightest first: each block, largest total
-    first, joins the lightest group. Only released values are read, so this
-    is post-processing."""
-    groups: List[Dict[Key, int]] = [{} for _ in range(count)]
-    loads = [0] * count
-    for key in sorted(frontier, key=lambda k: (-frontier[k], k)):
-        lightest = loads.index(min(loads))
-        groups[lightest][key] = frontier[key]
-        loads[lightest] += frontier[key]
-    return [groups[i] for i in sorted(range(count), key=loads.__getitem__)]
 
 
 def release(
@@ -194,12 +161,10 @@ def release(
             ([key], substream(config.seed, depth - 1, key[0], key[1])) for key in keys]
         current: Dict[Key, int] = {}
         for group, rng in units:
-            universes = [tree.child_keys(key, depth - 1) for key in group]
-            children = list(chain.from_iterable(universes))
+            children, sizes = tree.child_keys(group, depth - 1)
             noise = sample_discrete_gaussian(sigma2, rng, size=len(children))
             noisy = list(map(add, map(true_get, children, repeat(0)), noise))
-            values = solver(noisy, list(map(len, universes)), [parents[key] for key in group],
-                            config.order, rng)
+            values = solver(noisy, sizes, [parents[key] for key in group], config.order, rng)
             current.update(compress(zip(children, values), values))  # the positive ones
         return current
 
@@ -211,30 +176,16 @@ def release(
         depth += 1
     first = depth
 
-    def descend(blocks: Dict[Key, int]) -> List[Tuple[Dict[Key, int], float]]:
-        # (released level, ms) for each depth from ``first`` to the leaves
-        share = [{} for _ in range(first, depth_total + 1)]
-        ms = [0.0] * len(share)
-        for key in sorted(blocks):
-            block = substream(config.seed, "block", first - 1, key[0], key[1])
-            parents = {key: blocks[key]}
-            for i, level in enumerate(share):
-                start = time.perf_counter()
-                parents = expand(parents, first + i, block)
-                level.update(parents)
-                ms[i] += (time.perf_counter() - start) * 1000.0
-        return list(zip(share, ms))
-
-    def merge(share: List[Tuple[Dict[Key, int], float]]) -> None:
-        for depth, (level, ms) in enumerate(share, start=first):
-            levels[depth].update(level)
-            wall_ms[depth] += ms
-
     if first <= depth_total:
         frontier = levels[first - 1]
-        big = sum(map(len, tree.levels)) >= PARALLEL_MIN_NODES
-        workers = min(parallel.usable_cpus() if big else 1, len(frontier))
-        parallel.run_split(_balanced_groups(frontier, workers), descend, merge)
+        for key in sorted(frontier):
+            block = substream(config.seed, "block", first - 1, key[0], key[1])
+            parents = {key: frontier[key]}
+            for depth in range(first, depth_total + 1):
+                start = time.perf_counter()
+                parents = expand(parents, depth, block)
+                levels[depth].update(parents)
+                wall_ms[depth] += (time.perf_counter() - start) * 1000.0
 
     per_level = [
         {"depth": depth, "node_count": len(levels[depth]), "wall_ms": wall_ms[depth]}

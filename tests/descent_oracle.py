@@ -1,13 +1,12 @@
 """Test-only oracle: the top-down descent with one solve per parent.
 
 The descent of ``topdown.release`` as it stood before each stream's level was
-noised and solved in one pass, kept serial (the split over CPUs changes no
-output). Every positive parent, in sorted key order, draws its children's
-noise in one sampler call from its stream and is solved alone, right away, by
-``solve(noisy, total, order, rng)``. Above the block frontier (the first depth
-whose released level holds ``block_nodes`` nodes) each parent has its own
-substream; below it each frontier node's block stream serves its subtree,
-depth by depth. Not imported by the package.
+noised and solved in one pass. Every positive parent, in sorted key order,
+draws its children's noise in one sampler call from its stream and is solved
+alone, right away, by ``solve(noisy, total, order, rng)``. Above the block
+frontier (the first depth whose released level holds ``block_nodes`` nodes)
+each parent has its own substream; below it each frontier node's block stream
+serves its subtree, depth by depth. Not imported by the package.
 """
 
 from inftda.dpcore import per_level_sigma2, sample_discrete_gaussian, substream
@@ -31,7 +30,7 @@ def per_parent_release(tree, config, solve, block_nodes):
             total = parents[key]
             if total <= 0:
                 continue
-            children = tree.child_keys(key, depth - 1)
+            children = tree.child_keys([key], depth - 1)[0]
             rng = block or substream(config.seed, depth - 1, key[0], key[1])
             noise = sample_discrete_gaussian(sigma2, rng, size=len(children))
             noisy = [true_map.get(child, 0) + z for child, z in zip(children, noise)]

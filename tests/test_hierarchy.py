@@ -33,8 +33,11 @@ class TestParseHierarchy:
         assert h.leaves == ("N.a", "N.b", "S.c")
         # in origin mode depths 1 and 3 split the origin, in sorted order
         tree = HierTree("origin", h, dest_hier, [{} for _ in range(5)])
-        assert tree.child_keys((ROOT_AREA, ROOT_AREA), 0) == (("N", ROOT_AREA), ("S", ROOT_AREA))
-        assert tree.child_keys(("N", "E"), 2) == (("N.a", "E"), ("N.b", "E"))
+        assert tree.child_keys([(ROOT_AREA, ROOT_AREA)], 0) == (
+            [("N", ROOT_AREA), ("S", ROOT_AREA)], [2])
+        assert tree.child_keys([("N", "E"), ("S", "W")], 2) == (
+            [("N.a", "E"), ("N.b", "E"), ("S.c", "W")], [2, 1])
+        assert tree.child_keys([], 2) == ([], [])
         assert h.path("N.a") == (ROOT_AREA, "N", "N.a")
         assert h.path("N.b") == (ROOT_AREA, "N", "N.b")
         assert [leaf for leaf in h.leaves if h.path(leaf)[1] == "N"] == ["N.a", "N.b"]
@@ -64,7 +67,7 @@ class TestParseHierarchy:
     def test_unknown_lookups_raise(self, origin_hier, dest_hier):
         tree = HierTree("origin", origin_hier, dest_hier, [{} for _ in range(5)])
         with pytest.raises(DataError, match="unknown area 'Z' at level 1"):
-            tree.child_keys(("Z", "E"), 2)
+            tree.child_keys([("N", "E"), ("Z", "E")], 2)
         with pytest.raises(DataError, match="the root has no parent"):
             parent_key(tree, (ROOT_AREA, ROOT_AREA), 0)
         with pytest.raises(DataError):
@@ -140,23 +143,23 @@ class TestHierTree:
         for depth in range(1, tree.depth + 1):
             for key in tree.levels[depth]:
                 parent = parent_key(tree, key, depth)
-                assert key in tree.child_keys(parent, depth - 1)
+                assert key in tree.child_keys([parent], depth - 1)[0]
 
     def test_child_keys_cover_full_universe(self, trip_table):
         tree = build_tree(trip_table, "destination")
         # depth 0 splits destination at level 1: both E and W appear even
         # though W only carries 2 of the 11 trips
-        kids = tree.child_keys((ROOT_AREA, ROOT_AREA), 0)
-        assert kids == ((ROOT_AREA, "E"), (ROOT_AREA, "W"))
+        kids, sizes = tree.child_keys([(ROOT_AREA, ROOT_AREA)], 0)
+        assert (kids, sizes) == ([(ROOT_AREA, "E"), (ROOT_AREA, "W")], [2])
         with pytest.raises(DataError):
-            tree.child_keys(kids[0], tree.depth)
+            tree.child_keys(kids[:1], tree.depth)
         with pytest.raises(DataError):
             parent_key(tree, (ROOT_AREA, ROOT_AREA), 0)
 
     @pytest.mark.parametrize("mode", ["destination", "origin"])
     def test_child_keys_errors(self, trip_table, mode):
         tree = build_tree(trip_table, mode)
-        root = (ROOT_AREA, ROOT_AREA)
+        root = [(ROOT_AREA, ROOT_AREA)]
         with pytest.raises(DataError, match=r"depth -1 outside \[0, 4\]"):
             tree.child_keys(root, -1)  # never wraps round to the deepest split
         with pytest.raises(DataError, match="leaf nodes have no children"):
@@ -164,7 +167,7 @@ class TestHierTree:
         with pytest.raises(DataError, match=r"depth 5 outside \[0, 4\]"):
             tree.child_keys(root, tree.depth + 1)
         with pytest.raises(DataError, match="unknown area 'nowhere' at level 1"):
-            tree.child_keys(("nowhere", "nowhere"), 2)
+            tree.child_keys([("nowhere", "nowhere")], 2)
 
     @pytest.mark.parametrize("mode", ["destination", "origin"])
     def test_range_query_matches_brute_force(self, trip_table, mode):
@@ -237,7 +240,8 @@ class TestHierTree:
         tree = HierTree(mode, origin, dest, [{} for _ in range(2 * origin.levels + 1)])
         keys = [(ROOT_AREA, ROOT_AREA)]
         for depth in range(1, tree.depth + 1):
-            keys = [c for key in keys for c in tree.child_keys(key, depth - 1)]
+            keys, sizes = tree.child_keys(keys, depth - 1)
+            assert sum(sizes) == len(keys)
             o, d = tree.component_levels(depth)
             assert sorted(keys) == sorted(product(origin.areas(o), dest.areas(d)))
 

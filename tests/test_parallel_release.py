@@ -1,16 +1,18 @@
-"""The subtree split of the top-down release.
+"""A release runs on one CPU; the fork helpers of the sweep, called directly.
 
-``release`` deals the blocks below its block frontier (the first depth with
-``BLOCK_NODES`` released nodes) over the usable CPUs, one forked worker per
-group beyond the first. The CPU count is faked here by replacing
-``os.sched_getaffinity``; every fork goes through a counting wrapper, so each
-test also shows whether the split ran at all.
+``release`` never forks and reads no CPU count, so its files and levels are
+the same at any CPU count. The CPU count is faked here by replacing
+``os.sched_getaffinity``, and every fork goes through a counting wrapper, so
+each release test also shows that nothing forked. ``parallel.run_split`` and
+``parallel.usable_cpus``, which only the sweep uses, are checked on every
+failure path by calling them directly.
 """
 
 import itertools
 import json
 import os
 import threading
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -26,10 +28,9 @@ from inftda import (
     gen_dataset,
     release,
 )
-from inftda import topdown
+from inftda import parallel, topdown
 from inftda.evaluate import run_release
 from inftda.cli import main
-from inftda.intopt import intopt_level
 
 BUDGET = PrivacyBudget.from_eps_delta(1.0, 1e-8)
 
@@ -37,7 +38,8 @@ BUDGET = PrivacyBudget.from_eps_delta(1.0, 1e-8)
 @pytest.fixture(scope="module")
 def tree():
     tree = build_tree(gen_dataset(SynthSpec(kind="binary", levels=6, sparsity=0.5), 1))
-    assert sum(map(len, tree.levels)) >= topdown.PARALLEL_MIN_NODES
+    # the true tree reaches the block frontier above its leaves
+    assert any(len(level) >= topdown.BLOCK_NODES for level in tree.levels[:-1])
     return tree
 
 
@@ -79,15 +81,13 @@ def test_release_files_identical_at_1_2_and_4_cpus(dataset, tmp_path, forks, arg
     files = {}
     for cpus in (1, 2, 4):
         forks.cpus(cpus)
-        before = forks.count
         out = tmp_path / f"rel{cpus}.csv"
         assert main(["release", "--data", str(dataset), "--epsilon", "1", "--delta", "1e-8",
                      "--seed", "5", *argv, "--out", str(out)]) == 0
-        assert forks.count - before == cpus - 1
-        assert_no_child_left()
         meta = json.loads((tmp_path / f"rel{cpus}.meta.json").read_text())
         meta["per_level"] = _without_wall_ms(meta["per_level"])
         files[cpus] = (out.read_bytes(), meta)
+    assert forks.count == 0
     assert files[1] == files[2] == files[4]
 
 
@@ -100,10 +100,9 @@ def test_released_levels_identical_at_1_2_and_4_cpus(tree, forks, order, privacy
     for cpus in (1, 2, 4):
         forks.cpus(cpus)
         rel = release(tree, config)
-        assert_no_child_left()
         runs[cpus] = ([sorted(level.items()) for level in rel.tree.levels],
                       _without_wall_ms(rel.per_level))
-    assert forks.count == 1 + 3
+    assert forks.count == 0
     assert runs[1] == runs[2] == runs[4]
 
 
@@ -112,29 +111,40 @@ def test_released_levels_identical_at_1_2_and_4_cpus(tree, forks, order, privacy
 def test_two_blocks_release_identically_at_1_2_and_4_cpus(tree, forks, monkeypatch,
                                                           mechanism, privacy):
     # the frontier is the first depth with 2 nodes, so two blocks hold almost
-    # the whole tree, and 4 CPUs still make two groups
+    # the whole tree
     monkeypatch.setattr(topdown, "BLOCK_NODES", 2)
     config = ReleaseConfig(budget=BUDGET, sensitivity=SensitivityModel(privacy), seed=7)
     runs = {}
     for cpus in (1, 2, 4):
         forks.cpus(cpus)
         rel = run_release(mechanism, None, tree.mode, tree, config)
-        assert_no_child_left()
         runs[cpus] = [sorted(level.items()) for level in rel.tree.levels]
-    assert forks.count == 2
+    assert forks.count == 0
     assert runs[1] == runs[2] == runs[4]
 
 
-def test_wall_ms_after_the_split_sums_over_processes(tree, forks, monkeypatch):
-    # a clock that ticks one second per reading, in each process alike: every
-    # timed depth takes exactly 1000 ms in each block that works on it, and
-    # the two blocks of the first depth with 2 nodes go to one process each
+@pytest.mark.parametrize("mechanism", ["inftda", "tda-l2", "tda-linf-random"])
+def test_release_reads_no_cpu_count(tree, monkeypatch, mechanism):
+    def no_cpu_count(*args):
+        raise AssertionError("a release read the CPU count")
+
+    monkeypatch.setattr(os, "sched_getaffinity", no_cpu_count)
+    monkeypatch.setattr(os, "cpu_count", no_cpu_count)
+    monkeypatch.setattr(parallel, "usable_cpus", no_cpu_count)
+    rel = run_release(mechanism, None, tree.mode, tree, ReleaseConfig(budget=BUDGET, seed=0))
+    assert rel.per_level[-1]["node_count"] > 0
+
+
+def test_wall_ms_below_the_frontier_sums_over_blocks(tree, forks, monkeypatch):
+    # a clock that ticks one second per reading: every timed depth takes
+    # exactly 1000 ms in each block that works on it, and the first depth
+    # with 2 nodes roots two blocks
     clock = itertools.count()
     monkeypatch.setattr(topdown, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
     monkeypatch.setattr(topdown, "BLOCK_NODES", 2)
     forks.cpus(2)
     rel = release(tree, ReleaseConfig(budget=BUDGET, seed=0))
-    assert forks.count == 1
+    assert forks.count == 0
     counts = [row["node_count"] for row in rel.per_level]
     first = next(d for d in range(1, tree.depth + 1) if counts[d - 1] >= 2)
     assert [row["wall_ms"] for row in rel.per_level] == (
@@ -145,22 +155,22 @@ def test_wall_ms_after_the_split_sums_over_processes(tree, forks, monkeypatch):
 def _failing_in_workers(error):
     parent = os.getpid()
 
-    def solver(noisy, sizes, totals, order, rng):
-        # the first level a worker solves lies in that worker's group
+    def work(group):
         if os.getpid() != parent:
             raise error
-        return intopt_level(noisy, sizes, totals, order, rng)
+        return group
 
-    return solver
+    return work
 
 
 @pytest.mark.parametrize("error", [DataError("bad parent"), ConfigError("bad config"),
                                    ZeroDivisionError("divided")])
-def test_worker_exception_is_raised_in_the_parent(tree, forks, error):
-    forks.cpus(2)
+def test_worker_exception_is_raised_in_the_parent(forks, error):
+    merged = []
     with pytest.raises(type(error), match=str(error)):
-        release(tree, ReleaseConfig(budget=BUDGET, seed=0), _solver=_failing_in_workers(error))
+        parallel.run_split([0, 1], _failing_in_workers(error), merged.append)
     assert forks.count == 1
+    assert merged == [0]  # the share of this process
     assert_no_child_left()
 
 
@@ -169,84 +179,45 @@ class Unpicklable(Exception):
         raise TypeError("cannot pickle this")
 
 
-def test_unpicklable_worker_exception_still_reaches_the_parent(tree, forks):
-    forks.cpus(2)
-    solver = _failing_in_workers(Unpicklable("odd"))
-    with pytest.raises(RuntimeError, match="worker failed"):
-        release(tree, ReleaseConfig(budget=BUDGET, seed=0), _solver=solver)
+def test_unpicklable_worker_exception_still_reaches_the_parent(forks):
+    work = _failing_in_workers(Unpicklable("odd"))
+    with pytest.raises(RuntimeError, match=r"^worker failed with Unpicklable\('odd'\)$"):
+        parallel.run_split([0, 1], work, lambda result: None)
+    assert forks.count == 1
     assert_no_child_left()
 
 
-def test_worker_dying_without_a_result_names_its_exit_status(tree, forks):
-    forks.cpus(2)
+def test_worker_dying_without_a_result_names_its_exit_status(forks):
     parent = os.getpid()
 
-    def solver(noisy, sizes, totals, order, rng):
+    def work(group):
         if os.getpid() != parent:
             os._exit(7)
-        return intopt_level(noisy, sizes, totals, order, rng)
+        return group
 
     with pytest.raises(RuntimeError, match="exited with status 7 without a result"):
-        release(tree, ReleaseConfig(budget=BUDGET, seed=0), _solver=solver)
+        parallel.run_split([0, 1], work, lambda result: None)
     assert_no_child_left()
 
 
-def test_workers_are_reaped_when_the_parent_share_raises(tree, forks, monkeypatch):
-    # few parents above a frontier of 4 or more blocks
-    monkeypatch.setattr(topdown, "BLOCK_NODES", 4)
-    forks.cpus(4)
+def test_workers_are_reaped_when_the_parent_share_raises(forks):
     parent = os.getpid()
-    expanded = []
 
-    def solver(noisy, sizes, totals, order, rng):
+    def work(group):
         if os.getpid() == parent:
-            expanded.extend(totals)
-            if len(expanded) > 50:  # past the split: the workers are running
-                raise DataError("parent share failed")
-        return intopt_level(noisy, sizes, totals, order, rng)
+            raise DataError("parent share failed")
+        time.sleep(30)  # still running when the parent's share fails
+        return group
 
+    start = time.monotonic()
     with pytest.raises(DataError, match="parent share failed"):
-        release(tree, ReleaseConfig(budget=BUDGET, seed=0), _solver=solver)
+        parallel.run_split([0, 1, 2, 3], work, lambda result: None)
     assert forks.count == 3
     assert_no_child_left()
+    assert time.monotonic() - start < 10  # killed, not waited for
 
 
-def test_no_fork_while_another_thread_is_alive(tree, forks):
-    forks.cpus(2)
-    serial = release(tree, ReleaseConfig(budget=BUDGET, seed=0))
-    assert forks.count == 1
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    thread.start()
-    try:
-        threaded = release(tree, ReleaseConfig(budget=BUDGET, seed=0))
-    finally:
-        stop.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert forks.count == 1
-    assert threaded.tree.levels == serial.tree.levels
-
-
-def test_small_trees_stay_serial(trip_table, forks, monkeypatch):
-    # a frontier of blocks the toy tree does reach
-    monkeypatch.setattr(topdown, "BLOCK_NODES", 2)
-    forks.cpus(2)
-    small = build_tree(trip_table)
-    # noise decides how many children of the root survive: take the first
-    # seed whose frontier holds two blocks
-    seed = next(s for s in range(100)
-                if len(release(small, ReleaseConfig(budget=BUDGET, seed=s)).tree.levels[1]) >= 2)
-    assert forks.count == 0
-    # the size threshold alone kept it serial
-    monkeypatch.setattr(topdown, "PARALLEL_MIN_NODES", 0)
-    release(small, ReleaseConfig(budget=BUDGET, seed=seed))
-    assert forks.count == 1
-
-
-def test_group_whose_fork_fails_is_expanded_in_the_parent(tree, forks, monkeypatch):
-    forks.cpus(4)
-    expected = release(tree, ReleaseConfig(budget=BUDGET, seed=0))
+def test_group_whose_fork_fails_runs_in_the_parent(forks, monkeypatch):
     counting_fork = os.fork
     calls = []
 
@@ -257,22 +228,34 @@ def test_group_whose_fork_fails_is_expanded_in_the_parent(tree, forks, monkeypat
         return counting_fork()
 
     monkeypatch.setattr(os, "fork", fork_failing_once)
-    rel = release(tree, ReleaseConfig(budget=BUDGET, seed=0))
-    assert len(calls) == 3 and forks.count == 3 + 2
+    ran = {}
+    parallel.run_split([0, 1, 2, 3], lambda group: (group, os.getpid()), lambda r: ran.update([r]))
+    assert len(calls) == 3 and forks.count == 2
     assert_no_child_left()
-    assert rel.tree.levels == expected.tree.levels
+    assert sorted(ran) == [0, 1, 2, 3]
+    # groups 0 and 2 (whose fork failed) ran here, 1 and 3 in workers
+    assert [pid == os.getpid() for _, pid in sorted(ran.items())] == [True, False, True, False]
 
 
-def test_no_fork_without_os_fork(tree, forks, monkeypatch):
+def test_no_fork_while_another_thread_is_alive(forks):
+    forks.cpus(2)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        cpus = parallel.usable_cpus()
+        ran = []
+        parallel.run_split(list(range(cpus)), lambda group: group, ran.append)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert cpus == 1 and ran == [0]
+    assert forks.count == 0
+    assert parallel.usable_cpus() == 2
+
+
+def test_no_fork_without_os_fork(forks, monkeypatch):
     forks.cpus(2)
     monkeypatch.delattr(os, "fork")
-    rel = release(tree, ReleaseConfig(budget=BUDGET, seed=0))
-    assert rel.per_level[-1]["node_count"] > 0
-
-
-def test_groups_partition_the_frontier_by_released_total():
-    frontier = {("o", str(i)): v for i, v in enumerate([9, 1, 5, 4, 3, 8])}
-    groups = topdown._balanced_groups(frontier, 3)
-    assert sorted(k for g in groups for k in g) == sorted(frontier)
-    assert [sum(g.values()) for g in groups] == [9, 10, 11]  # lightest first
-    assert topdown._balanced_groups(frontier, 3) == groups
+    assert parallel.usable_cpus() == 1

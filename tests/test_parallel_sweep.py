@@ -1,10 +1,10 @@
-"""A sweep on the shared fork scheduler.
+"""A sweep on the fork scheduler of ``parallel``.
 
 ``run_experiment`` deals every repeat of every (mechanism, epsilon) cell
 round-robin into min(W, jobs) groups and forks one worker per group beyond
-the first; releases inside a split stay serial. CPU counts are faked with the
-``forks`` fixture, and every ``os.fork`` call, in this process or in a worker,
-is logged with the pid that made it.
+the first; a release never forks. CPU counts are faked with the ``forks``
+fixture, and every ``os.fork`` call, in this process or in a worker, is
+logged with the pid that made it.
 """
 
 import hashlib
@@ -56,8 +56,6 @@ def fork_pids(forks, monkeypatch, tmp_path):
         return inner()
 
     monkeypatch.setattr(os, "fork", logging_fork)
-    # a release would split at any size, unless the no-nesting rule stops it
-    monkeypatch.setattr(topdown, "PARALLEL_MIN_NODES", 0)
     return lambda: [int(pid) for pid in log.read_text().split()]
 
 
@@ -74,10 +72,10 @@ def test_sweep_reports_identical_at_1_2_and_4_cpus(tmp_path, forks, fork_pids):
         assert _report_digest(out_dir) == SWEEP_DIGEST
 
 
-@pytest.mark.parametrize("repeats, forked", [(1, 3), (2, 1)], ids=["one-job", "two-jobs"])
+@pytest.mark.parametrize("repeats, forked", [(1, 0), (2, 1)], ids=["one-job", "two-jobs"])
 def test_fewer_jobs_than_cpus(forks, fork_pids, monkeypatch, repeats, forked):
-    # one job runs here and its release splits itself over the 4 CPUs;
-    # two jobs make two groups, and their releases stay serial
+    # one job runs here, two jobs make two groups, and no release forks,
+    # not even with a frontier of several blocks
     monkeypatch.setattr(topdown, "BLOCK_NODES", 4)  # the 8x8 tree holds 4+ blocks
     forks.cpus(4)
     table = gen_dataset(SynthSpec(kind="binary", levels=3, sparsity=0.5), 5)

@@ -119,7 +119,7 @@ def test_tree_steps_match_the_leaf_path_walk(instance):
                     assert key == (po[ol], pd[dl])
                     if k:
                         assert parent_key(tree, key, k) == walk[k - 1]
-                        assert key in tree.child_keys(walk[k - 1], k - 1)
+                        assert key in tree.child_keys([walk[k - 1]], k - 1)[0]
 
 
 @pytest.mark.parametrize("mode", MODES)
