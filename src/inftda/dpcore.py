@@ -32,8 +32,8 @@ depth 16) it makes draws slower than a plain von Neumann sampler's.
 
 Randomness comes from stdlib ``random.Random`` instances. ``substream`` derives
 independent, reproducible generators from a root seed and a tuple of tokens
-(SHA-256 keyed), which is what makes parallel releases bit-reproducible no
-matter how work is scheduled.
+(SHA-256 keyed), which is what makes releases bit-reproducible no matter how
+work is scheduled: in any block order, and in any sweep worker.
 """
 
 from __future__ import annotations
@@ -488,7 +488,8 @@ def substream(seed: int, *tokens: object) -> random.Random:
 
     Streams for distinct token tuples are independent for all practical
     purposes, and the derivation does not depend on process, platform, or
-    scheduling order, so per-node noise is reproducible under parallelism.
+    scheduling order, so per-node noise is the same in any block order and
+    in any worker of a sweep.
     """
     return random.Random(int.from_bytes(_digest(seed, tuple(tokens)), "big"))
 

@@ -11,10 +11,12 @@ evaluate`` both score a release with ``released_levels`` and ``level_scores``.
 
 ``run_experiment`` runs a grid of (mechanism, epsilon) cells, each repeated
 with paired per-repeat seeds (repeat r uses the same derived seed for every
-mechanism, so per-seed comparisons are honest). The repeats of the whole grid
-are spread over every usable CPU by the forked workers of ``parallel``, while
-each release runs on one CPU; keyed substreams make the result identical for
-any CPU count.
+mechanism, so per-seed comparisons are honest). Each repeat of each cell is
+one job, and the jobs of the whole grid are mapped over a standard-library
+pool of forked workers, one per usable CPU, while each release runs on one
+CPU; keyed substreams make the result identical for any CPU count. The table
+and tree reach the workers through the fork: only the job tuples and their
+scores cross a pipe.
 Reports serialize to a CSV (one row per level, no timing columns, byte-stable
 for a fixed seed) plus a JSON envelope that additionally carries wall-clock
 numbers.
@@ -22,6 +24,8 @@ numbers.
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 from dataclasses import astuple, dataclass, field, fields, replace
 from functools import partial
@@ -29,7 +33,6 @@ from itertools import chain, compress, repeat
 from operator import lt, not_, sub
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import parallel
 from .baselines import stability_histogram, tda_l2, vanilla_gauss
 from .dataio import open_output, sidecar_path, write_json
 from .dpcore import PrivacyBudget, SensitivityModel, derive_seed
@@ -323,6 +326,39 @@ def write_report(report: EvalReport, csv_path: str) -> None:
 # the harness
 
 
+def usable_cpus() -> int:
+    """W: the CPUs this process may run on, or 1 where forking is not allowed."""
+    # forking a process with other threads alive can deadlock the child
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+# the (table, tree, sensitivity, visit order) of the sweep a forked worker
+# serves, set by the pool's initializer: the fork hands it over unpickled
+_sweep: Optional[tuple] = None
+
+
+def _serve(sweep: tuple) -> None:
+    global _sweep
+    _sweep = sweep
+
+
+def _run_job(job: tuple, sweep: Optional[tuple] = None) -> tuple:
+    """(level scores, wall_ms, what the release states, tree release?) of one
+    (budget, mechanism, seed) job of ``sweep``, or of the sweep this worker
+    serves; the release itself never crosses a pipe."""
+    budget, name, seed = job
+    table, tree, sens, order = sweep or _sweep
+    start = time.perf_counter()
+    levels, rel = run_mechanism(name, table, tree, budget, sens, order, seed)
+    wall_ms = (time.perf_counter() - start) * 1000.0
+    meta = rel.metadata()
+    return (level_scores(tree, levels), wall_ms, {k: meta[k] for k in _STATED},
+            bool(rel.tree.levels[0]))
+
+
 def run_experiment(
     table: TripTable,
     mechanisms: Sequence[str] = tuple(MECHANISMS),
@@ -346,9 +382,13 @@ def run_experiment(
     ``run_mechanism`` call: the release and its roll-up, not the scoring.
     Every mechanism name, budget and ``beta`` is checked before any job runs.
 
-    Each repeat of each cell is one job. The jobs are dealt round-robin into
-    min(W, jobs) groups for ``parallel.run_split``, with W the usable CPUs;
-    the first group runs here. Each release runs on one CPU.
+    Each repeat of each cell is one job. With W the usable CPUs, the jobs are
+    mapped over a pool of min(W, jobs) forked workers, which take one job at
+    a time while this process waits, or run here when that is 1. A job's
+    error is raised once the jobs in flight finish; a worker that dies raises
+    ``BrokenProcessPool``, a RuntimeError. If a fork fails (say, at a process
+    limit), the workers already forked are stopped and every job runs here.
+    Each release runs on one CPU.
     """
     if repeats < 1:
         raise ConfigError("repeats must be >= 1")
@@ -364,30 +404,38 @@ def run_experiment(
         envelope = [theoretical_error_envelope(d, tree, budget, sens, beta)
                     for d in range(tree.depth + 1)]
         cells += [(budget, envelope, m) for m in mechanisms]
-    jobs = list(enumerate((budget, m, s) for budget, _, m in cells for s in repeat_seeds))
+    jobs = [(budget, m, s) for budget, _, m in cells for s in repeat_seeds]
+    sweep = (table, tree, sens, order)
 
-    def run_jobs(group):
-        # (job index, (level scores, wall_ms, what the release states, tree
-        # release?)) for each job; the release itself never crosses the pipe
-        out = []
-        for index, (budget, name, s) in group:
-            start = time.perf_counter()
-            levels, rel = run_mechanism(name, table, tree, budget, sens, order, s)
-            wall_ms = (time.perf_counter() - start) * 1000.0
-            meta = rel.metadata()
-            statement = {k: meta[k] for k in _STATED}
-            out.append((index, (level_scores(tree, levels), wall_ms, statement,
-                                bool(rel.tree.levels[0]))))
-        return out
+    outcomes = None
+    workers = min(usable_cpus(), len(jobs))
+    if workers > 1:
+        # loaded only here, so a run that forks no pool never imports them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    outcomes: Dict[int, tuple] = {}
-    count = min(parallel.usable_cpus(), len(jobs))
-    parallel.run_split([jobs[g::count] for g in range(count)], run_jobs, outcomes.update)
+        # named, since the default start method is not fork everywhere
+        fork = multiprocessing.get_context("fork")
+        before = set(multiprocessing.active_children())
+        with ProcessPoolExecutor(workers, mp_context=fork, initializer=_serve,
+                                 initargs=(sweep,)) as pool:
+            try:
+                results = pool.map(_run_job, jobs)
+            except OSError:
+                # a fork failed; the pool would leave the workers it forked
+                # waiting for jobs, and this process hanging at exit
+                for child in set(multiprocessing.active_children()) - before:
+                    child.kill()
+                    child.join()
+            else:
+                outcomes = list(results)
+    if outcomes is None:
+        outcomes = list(map(_run_job, jobs, repeat(sweep)))
 
     reports: List[EvalReport] = []
     for cell, (_, envelope, mechanism) in enumerate(cells):
-        runs = [outcomes[i] for i in range(cell * repeats, (cell + 1) * repeats)]
-        scores, wall_ms, statements, tree_releases = zip(*runs)
+        scores, wall_ms, statements, tree_releases = zip(
+            *outcomes[cell * repeats:(cell + 1) * repeats])
         levels = [LevelStats(d, *_spread([s[d] for s in scores])) for d in range(tree.depth + 1)]
         reports.append(EvalReport(
             mechanism=mechanism, **statements[0], seed=seed, repeats=repeats, tree_mode=mode,

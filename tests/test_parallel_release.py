@@ -1,25 +1,20 @@
-"""A release runs on one CPU; the fork helpers of the sweep, called directly.
+"""A release runs on one CPU.
 
 ``release`` never forks and reads no CPU count, so its files and levels are
 the same at any CPU count. The CPU count is faked here by replacing
 ``os.sched_getaffinity``, and every fork goes through a counting wrapper, so
-each release test also shows that nothing forked. ``parallel.run_split`` and
-``parallel.usable_cpus``, which only the sweep uses, are checked on every
-failure path by calling them directly.
+each release test also shows that nothing forked. The sweep's worker pool,
+the one place that forks, is checked in ``test_parallel_sweep.py``.
 """
 
 import itertools
 import json
 import os
-import threading
-import time
 from types import SimpleNamespace
 
 import pytest
 
 from inftda import (
-    ConfigError,
-    DataError,
     PrivacyBudget,
     ReleaseConfig,
     SensitivityModel,
@@ -28,7 +23,7 @@ from inftda import (
     gen_dataset,
     release,
 )
-from inftda import parallel, topdown
+from inftda import evaluate, topdown
 from inftda.evaluate import run_release
 from inftda.cli import main
 
@@ -41,11 +36,6 @@ def tree():
     # the true tree reaches the block frontier above its leaves
     assert any(len(level) >= topdown.BLOCK_NODES for level in tree.levels[:-1])
     return tree
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def _without_wall_ms(per_level):
@@ -130,7 +120,7 @@ def test_release_reads_no_cpu_count(tree, monkeypatch, mechanism):
 
     monkeypatch.setattr(os, "sched_getaffinity", no_cpu_count)
     monkeypatch.setattr(os, "cpu_count", no_cpu_count)
-    monkeypatch.setattr(parallel, "usable_cpus", no_cpu_count)
+    monkeypatch.setattr(evaluate, "usable_cpus", no_cpu_count)
     rel = run_release(mechanism, None, tree.mode, tree, ReleaseConfig(budget=BUDGET, seed=0))
     assert rel.per_level[-1]["node_count"] > 0
 
@@ -150,112 +140,3 @@ def test_wall_ms_below_the_frontier_sums_over_blocks(tree, forks, monkeypatch):
     assert [row["wall_ms"] for row in rel.per_level] == (
         [1000.0] * first + [2000.0] * (tree.depth + 1 - first)
     )
-
-
-def _failing_in_workers(error):
-    parent = os.getpid()
-
-    def work(group):
-        if os.getpid() != parent:
-            raise error
-        return group
-
-    return work
-
-
-@pytest.mark.parametrize("error", [DataError("bad parent"), ConfigError("bad config"),
-                                   ZeroDivisionError("divided")])
-def test_worker_exception_is_raised_in_the_parent(forks, error):
-    merged = []
-    with pytest.raises(type(error), match=str(error)):
-        parallel.run_split([0, 1], _failing_in_workers(error), merged.append)
-    assert forks.count == 1
-    assert merged == [0]  # the share of this process
-    assert_no_child_left()
-
-
-class Unpicklable(Exception):
-    def __reduce__(self):
-        raise TypeError("cannot pickle this")
-
-
-def test_unpicklable_worker_exception_still_reaches_the_parent(forks):
-    work = _failing_in_workers(Unpicklable("odd"))
-    with pytest.raises(RuntimeError, match=r"^worker failed with Unpicklable\('odd'\)$"):
-        parallel.run_split([0, 1], work, lambda result: None)
-    assert forks.count == 1
-    assert_no_child_left()
-
-
-def test_worker_dying_without_a_result_names_its_exit_status(forks):
-    parent = os.getpid()
-
-    def work(group):
-        if os.getpid() != parent:
-            os._exit(7)
-        return group
-
-    with pytest.raises(RuntimeError, match="exited with status 7 without a result"):
-        parallel.run_split([0, 1], work, lambda result: None)
-    assert_no_child_left()
-
-
-def test_workers_are_reaped_when_the_parent_share_raises(forks):
-    parent = os.getpid()
-
-    def work(group):
-        if os.getpid() == parent:
-            raise DataError("parent share failed")
-        time.sleep(30)  # still running when the parent's share fails
-        return group
-
-    start = time.monotonic()
-    with pytest.raises(DataError, match="parent share failed"):
-        parallel.run_split([0, 1, 2, 3], work, lambda result: None)
-    assert forks.count == 3
-    assert_no_child_left()
-    assert time.monotonic() - start < 10  # killed, not waited for
-
-
-def test_group_whose_fork_fails_runs_in_the_parent(forks, monkeypatch):
-    counting_fork = os.fork
-    calls = []
-
-    def fork_failing_once():
-        calls.append(None)
-        if len(calls) == 2:
-            raise BlockingIOError("no process slot")
-        return counting_fork()
-
-    monkeypatch.setattr(os, "fork", fork_failing_once)
-    ran = {}
-    parallel.run_split([0, 1, 2, 3], lambda group: (group, os.getpid()), lambda r: ran.update([r]))
-    assert len(calls) == 3 and forks.count == 2
-    assert_no_child_left()
-    assert sorted(ran) == [0, 1, 2, 3]
-    # groups 0 and 2 (whose fork failed) ran here, 1 and 3 in workers
-    assert [pid == os.getpid() for _, pid in sorted(ran.items())] == [True, False, True, False]
-
-
-def test_no_fork_while_another_thread_is_alive(forks):
-    forks.cpus(2)
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    thread.start()
-    try:
-        cpus = parallel.usable_cpus()
-        ran = []
-        parallel.run_split(list(range(cpus)), lambda group: group, ran.append)
-    finally:
-        stop.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert cpus == 1 and ran == [0]
-    assert forks.count == 0
-    assert parallel.usable_cpus() == 2
-
-
-def test_no_fork_without_os_fork(forks, monkeypatch):
-    forks.cpus(2)
-    monkeypatch.delattr(os, "fork")
-    assert parallel.usable_cpus() == 1

@@ -1,19 +1,22 @@
-"""A sweep on the fork scheduler of ``parallel``.
+"""A sweep on its pool of forked workers.
 
-``run_experiment`` deals every repeat of every (mechanism, epsilon) cell
-round-robin into min(W, jobs) groups and forks one worker per group beyond
-the first; a release never forks. CPU counts are faked with the ``forks``
-fixture, and every ``os.fork`` call, in this process or in a worker, is
-logged with the pid that made it.
+``run_experiment`` maps every repeat of every (mechanism, epsilon) cell over
+a pool of min(W, jobs) forked workers, or runs them in this process when that
+is 1; a release never forks. CPU counts are faked with the ``forks`` fixture,
+every ``os.fork`` call, in this process or in a worker, is logged with the
+pid that made it, and ``conftest`` fails any test that leaves a child behind.
 """
 
 import hashlib
 import json
 import os
+import threading
+import time
 
 import pytest
 
-from inftda import MECHANISMS, DataError, SynthSpec, gen_dataset, run_experiment
+from inftda import (MECHANISMS, ConfigError, DataError, SynthSpec, gen_dataset,
+                    run_experiment)
 from inftda import evaluate, topdown
 from inftda.cli import main
 
@@ -43,6 +46,21 @@ def _report_digest(out_dir) -> str:
     return digest.hexdigest()
 
 
+def _sweep_digest(tmp_path, name) -> str:
+    """The report digest of SWEEP, run through ``inftda sweep`` into ``name``."""
+    out_dir = tmp_path / name
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps({**SWEEP, "out_dir": str(out_dir)}))
+    assert main(["sweep", "--config", str(config)]) == 0
+    return _report_digest(out_dir)
+
+
+def _forks_for(cpus, jobs):
+    # a pool forks one worker per job slot; a single slot runs here
+    workers = min(cpus, jobs)
+    return workers if workers > 1 else 0
+
+
 @pytest.fixture
 def fork_pids(forks, monkeypatch, tmp_path):
     """``fork_pids()`` lists the pid of every os.fork caller, workers included."""
@@ -59,48 +77,44 @@ def fork_pids(forks, monkeypatch, tmp_path):
     return lambda: [int(pid) for pid in log.read_text().split()]
 
 
+@pytest.fixture(scope="module")
+def table():
+    return gen_dataset(SynthSpec(kind="binary", levels=3, sparsity=0.5), 5)
+
+
 def test_sweep_reports_identical_at_1_2_and_4_cpus(tmp_path, forks, fork_pids):
     for cpus in (1, 2, 4):
         forks.cpus(cpus)
         before = len(fork_pids())
-        out_dir = tmp_path / f"reports{cpus}"
-        config = tmp_path / "sweep.json"
-        config.write_text(json.dumps({**SWEEP, "out_dir": str(out_dir)}))
-        assert main(["sweep", "--config", str(config)]) == 0
-        # one fork per group beyond the first, all by the sweep: none by a release
-        assert fork_pids()[before:] == [os.getpid()] * (min(cpus, JOBS) - 1)
-        assert _report_digest(out_dir) == SWEEP_DIGEST
+        assert _sweep_digest(tmp_path, f"reports{cpus}") == SWEEP_DIGEST
+        # one fork per worker, all by the sweep: none by a release
+        assert fork_pids()[before:] == [os.getpid()] * _forks_for(cpus, JOBS)
 
 
-@pytest.mark.parametrize("repeats, forked", [(1, 0), (2, 1)], ids=["one-job", "two-jobs"])
-def test_fewer_jobs_than_cpus(forks, fork_pids, monkeypatch, repeats, forked):
-    # one job runs here, two jobs make two groups, and no release forks,
+@pytest.mark.parametrize("repeats", [1, 2], ids=["one-job", "two-jobs"])
+def test_fewer_jobs_than_cpus(forks, fork_pids, monkeypatch, table, repeats):
+    # one job runs here, two jobs fork two workers, and no release forks,
     # not even with a frontier of several blocks
     monkeypatch.setattr(topdown, "BLOCK_NODES", 4)  # the 8x8 tree holds 4+ blocks
     forks.cpus(4)
-    table = gen_dataset(SynthSpec(kind="binary", levels=3, sparsity=0.5), 5)
     run_experiment(table, mechanisms=["inftda"], epsilons=[1.0], repeats=repeats)
-    assert fork_pids() == [os.getpid()] * forked
+    assert fork_pids() == [os.getpid()] * _forks_for(4, repeats)
 
 
-@pytest.mark.parametrize("failing", ["worker", "parent"])
-def test_job_exception_reaches_the_caller(forks, fork_pids, monkeypatch, failing):
-    forks.cpus(2)
-    parent = os.getpid()
-    real_run = evaluate.run_mechanism
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("error", [DataError("bad parent"), ConfigError("bad config"),
+                                   ZeroDivisionError("divided")], ids=type)
+def test_job_exception_reaches_the_caller(forks, monkeypatch, table, cpus, error):
+    forks.cpus(cpus)
 
     def run_mechanism(*args):
-        if (os.getpid() == parent) == (failing == "parent"):
-            raise DataError(f"job failed in the {failing}")
-        return real_run(*args)
+        raise error
 
     monkeypatch.setattr(evaluate, "run_mechanism", run_mechanism)
-    table = gen_dataset(SynthSpec(kind="binary", levels=3, sparsity=0.5), 5)
-    with pytest.raises(DataError, match=f"job failed in the {failing}"):
+    with pytest.raises(type(error), match=str(error)):
         run_experiment(table, mechanisms=["inftda", "sh"], epsilons=[1.0], repeats=2)
-    assert fork_pids() == [parent]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    # with two CPUs the error is raised in a worker, with one here
+    assert forks.count == _forks_for(cpus, 4)
 
 
 class Unpicklable(Exception):
@@ -108,22 +122,87 @@ class Unpicklable(Exception):
         raise TypeError("cannot pickle this")
 
 
-@pytest.mark.parametrize("failure", ["unpicklable", "exit"])
-def test_failing_sweep_worker_names_itself_a_worker(forks, monkeypatch, failure):
+def test_unpicklable_worker_exception_raises_the_pickling_error(forks, monkeypatch, table):
     forks.cpus(2)
-    parent = os.getpid()
-    real_run = evaluate.run_mechanism
 
     def run_mechanism(*args):
-        if os.getpid() != parent:
-            if failure == "exit":
-                os._exit(7)
-            raise Unpicklable("odd")
-        return real_run(*args)
+        raise Unpicklable("odd")
 
     monkeypatch.setattr(evaluate, "run_mechanism", run_mechanism)
-    table = gen_dataset(SynthSpec(kind="binary", levels=3, sparsity=0.5), 5)
-    message = {"unpicklable": r"^worker failed with Unpicklable\('odd'\)$",
-               "exit": r"^worker \d+ exited with status 7 without a result$"}[failure]
-    with pytest.raises(RuntimeError, match=message):
+    with pytest.raises(TypeError, match="cannot pickle this"):
         run_experiment(table, mechanisms=["inftda", "sh"], epsilons=[1.0], repeats=2)
+    assert forks.count == 2
+
+
+def test_worker_dying_without_a_result_raises(forks, monkeypatch, table):
+    forks.cpus(2)
+
+    def run_mechanism(*args):
+        os._exit(7)
+
+    monkeypatch.setattr(evaluate, "run_mechanism", run_mechanism)
+    # BrokenProcessPool, without importing the pool here
+    with pytest.raises(RuntimeError, match="terminated abruptly"):
+        run_experiment(table, mechanisms=["inftda", "sh"], epsilons=[1.0], repeats=2)
+
+
+def test_job_failing_while_others_run_waits_for_them(forks, monkeypatch, table, tmp_path):
+    forks.cpus(2)
+    finished = tmp_path / "finished"
+    real_run = evaluate.run_mechanism
+
+    def run_mechanism(name, *args):
+        if name == "sh":
+            raise DataError("sh failed")
+        time.sleep(1)  # still running when the sh job fails
+        finished.write_text(name)
+        return real_run(name, *args)
+
+    monkeypatch.setattr(evaluate, "run_mechanism", run_mechanism)
+    with pytest.raises(DataError, match="sh failed"):
+        run_experiment(table, mechanisms=["sh", "inftda"], epsilons=[1.0], repeats=1)
+    # the job in flight ran to its end before the error was raised
+    assert finished.read_text() == "inftda"
+    assert forks.count == 2
+
+
+@pytest.mark.parametrize("failing_call", [1, 2, 3])
+def test_sweep_whose_fork_fails_runs_here(forks, monkeypatch, tmp_path, failing_call):
+    forks.cpus(4)
+    counting_fork = os.fork
+    calls = []
+
+    def fork_failing_once():
+        calls.append(None)
+        if len(calls) == failing_call:
+            raise BlockingIOError("no process slot")
+        return counting_fork()
+
+    monkeypatch.setattr(os, "fork", fork_failing_once)
+    assert _sweep_digest(tmp_path, "reports") == SWEEP_DIGEST
+    # the pool stops forking at the failure; the workers forked before it
+    # are stopped, and every job runs here
+    assert len(calls) == failing_call and forks.count == failing_call - 1
+
+
+def test_no_fork_while_another_thread_is_alive(forks, table):
+    forks.cpus(2)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        cpus = evaluate.usable_cpus()
+        run_experiment(table, mechanisms=["inftda"], epsilons=[1.0], repeats=2)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert cpus == 1 and forks.count == 0
+    assert evaluate.usable_cpus() == 2
+
+
+def test_no_fork_without_os_fork(forks, monkeypatch, table):
+    forks.cpus(2)
+    monkeypatch.delattr(os, "fork")
+    assert evaluate.usable_cpus() == 1
+    run_experiment(table, mechanisms=["inftda"], epsilons=[1.0], repeats=2)
