@@ -24,6 +24,7 @@ numbers.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
@@ -259,7 +260,8 @@ class LevelStats:
 
 def _spread(scores: Sequence[tuple]) -> list:
     """(min, mean, max) over the repeats of each score in turn."""
-    return [x for v in zip(*scores) for x in (min(v), sum(v) / len(v), max(v))]
+    # fsum rounds once, on every Python; a float ``sum`` rounds differently from 3.12 on
+    return [x for v in zip(*scores) for x in (min(v), math.fsum(v) / len(v), max(v))]
 
 
 CSV_HEADER = ",".join(f.name for f in fields(LevelStats))
