@@ -30,7 +30,7 @@ import threading
 import time
 from dataclasses import astuple, dataclass, field, fields, replace
 from functools import partial
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from operator import lt, not_, sub
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -133,8 +133,8 @@ def run_release(
 # ---------------------------------------------------------------------------
 # metrics
 #
-# Each score is a chain of C-level iterator passes over one depth's maps, one
-# pass per side, so no Python frame runs per key.
+# Each score is a chain of C-level iterator passes over one depth's maps,
+# so no Python frame runs per key.
 
 _positive = partial(lt, 0)  # v -> 0 < v
 
@@ -144,16 +144,19 @@ def max_abs_error_per_level(
 ) -> List[int]:
     """Max |true - released| per depth, over the union of both supports.
 
-    Two passes per depth, no union set: the released keys against the truth,
-    then the true values at the keys the release lacks.
+    Per depth, ``worst`` is first the largest error over the released keys. A
+    true key the release lacks errs by its own |value|, so it can raise the
+    maximum only if that is above ``worst``: one pass over the true values
+    picks those keys out, and only they are looked up in the release.
     """
     out: List[int] = []
     for depth in range(true_tree.depth + 1):
         t = true_tree.levels[depth]
         r = released_levels[depth] if depth < len(released_levels) else {}
-        released = map(sub, map(t.get, r, repeat(0)), r.values())
-        missed = compress(t.values(), map(not_, map(r.__contains__, t)))
-        out.append(max(map(abs, chain(released, missed)), default=0))
+        worst = max(map(abs, map(sub, map(t.get, r, repeat(0)), r.values())), default=0)
+        above = [*compress(t, map(lt, repeat(worst), map(abs, t.values())))]
+        missed = compress(map(t.__getitem__, above), map(not_, map(r.__contains__, above)))
+        out.append(max(map(abs, missed), default=worst))
     return out
 
 

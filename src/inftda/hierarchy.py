@@ -19,7 +19,7 @@ interleaving is stated once, in the ``_steps`` table.
 from __future__ import annotations
 
 from itertools import chain, compress, repeat
-from operator import ne
+from operator import ne, not_
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import DataError
@@ -348,15 +348,26 @@ def aggregate_leaf_map(
 ) -> List[Dict[Key, int]]:
     """Roll a leaf-level value map up into per-depth maps (depth 0..2g).
 
-    One pass per depth over that depth's nodes, each summed into its parent.
-    Values may be negative; aggregates that cancel to exactly zero are dropped
-    at the end, matching the sparse read-as-zero convention (dropping them
-    while rolling up would reorder the keys above them).
+    The leaf map is copied once (``leaf_values`` is left as it is) and its
+    zeros deleted; then one pass per depth sums that depth's nodes into their
+    parents. Values may be negative; aggregates that cancel to exactly zero
+    are deleted at the end, matching the sparse read-as-zero convention
+    (dropping them while rolling up would reorder the keys above them).
+    Deleting in place keeps the order of the keys that remain.
     """
-    maps = [{key: value for key, value in leaf_values.items() if value != 0}]
+    maps = [_drop_zeros(dict(leaf_values))]
     for step in reversed(_steps(mode, origin, dest)):
         maps.append(_sum_into_parents(maps[-1], step))
-    return [{k: v for k, v in m.items() if v != 0} for m in reversed(maps)]
+    for level in maps[1:]:
+        _drop_zeros(level)
+    return maps[::-1]
+
+
+def _drop_zeros(level: Dict[Key, int]) -> Dict[Key, int]:
+    """Delete ``level``'s zero values in place and return it."""
+    for key in [*compress(level, map(not_, level.values()))]:
+        del level[key]
+    return level
 
 
 def build_tree(table: TripTable, mode: str = "destination") -> HierTree:

@@ -590,9 +590,12 @@ class TestExitCodes:
 
 
 def test_package_imports_without_numpy():
-    # the package has no runtime dependency; numpy serves the tests alone
+    # the package has no runtime dependency; numpy serves the tests alone. The
+    # sweep's process pool is imported only when a sweep forks one
     src = os.path.dirname(os.path.dirname(inftda.__file__))
-    code = "import sys, inftda, inftda.cli; assert 'numpy' not in sys.modules"
+    code = ("import sys, inftda, inftda.cli; "
+            "loaded = {'numpy', 'concurrent.futures', 'multiprocessing'} & set(sys.modules); "
+            "assert not loaded, sorted(loaded)")
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -3,11 +3,13 @@
 import json
 
 import pytest
+import score_oracle
 
 from inftda import (
     MECHANISMS,
     ConfigError,
     EvalReport,
+    HierTree,
     LevelStats,
     PrivacyBudget,
     ReleaseConfig,
@@ -60,6 +62,60 @@ class TestMetrics:
     def test_fdr_zero_when_nothing_released(self, trip_table):
         tree = build_tree(trip_table)
         assert false_discovery_rate(tree, [{} for _ in range(5)], 4) == 0.0
+
+
+class TestPrunedMaxErrorScan:
+    """The scan looks a true key up in the release only when its |value| is
+    above the worst released error; each case is held to the frozen per-key
+    scorer of ``tests/score_oracle.py``."""
+
+    @staticmethod
+    def errors(truth, released):
+        got = max_abs_error_per_level(truth, released)
+        assert got == score_oracle.max_abs_error_per_level(truth, released)
+        return got
+
+    @staticmethod
+    def truth_with_leaves(trip_table, leaves):
+        levels = [dict(m) for m in build_tree(trip_table).levels]
+        levels[-1] = leaves
+        return HierTree("destination", trip_table.origin, trip_table.dest, levels)
+
+    def test_missing_key_above_every_released_error(self, trip_table):
+        tree = build_tree(trip_table)
+        released = [dict(m) for m in tree.levels]
+        released[4][("N.a", "E.x")] += 1  # worst released error: 1
+        del released[4][("S.c", "E.y")]  # missed a true 5
+        assert self.errors(tree, released)[4] == 5
+
+    def test_truth_with_negatives_and_zeros(self, trip_table):
+        leaves = {("N.a", "E.x"): 0, ("N.a", "E.y"): -7, ("N.b", "W.z"): 2, ("S.c", "E.y"): -1}
+        truth = self.truth_with_leaves(trip_table, leaves)
+        # missed: the -7 (error 7), the zero (0) and the -1 (1); released 4 for 2 (2)
+        assert self.errors(truth, [{}] * 4 + [{("N.b", "W.z"): 4}])[4] == 7
+        # with the -7 released exactly, the worst is the 4 released for 2
+        released = {("N.a", "E.y"): -7, ("N.b", "W.z"): 4}
+        assert self.errors(truth, [{}] * 4 + [released])[4] == 2
+        # a zero released at a true zero's key errs by nothing
+        released = {("N.a", "E.x"): 0, ("N.a", "E.y"): -7, ("N.b", "W.z"): 2, ("S.c", "E.y"): -1}
+        assert self.errors(truth, [{}] * 4 + [released])[4] == 0
+
+    @pytest.mark.parametrize("tied", [3, -3])
+    def test_missing_key_tying_the_worst(self, trip_table, tied):
+        leaves = {("N.a", "E.x"): 5, ("N.b", "W.z"): tied}
+        truth = self.truth_with_leaves(trip_table, leaves)
+        released = {("N.a", "E.x"): 2, ("S.c", "E.y"): -1}  # errors 3 and 1
+        assert self.errors(truth, [{}] * 4 + [released])[4] == 3
+
+    def test_empty_released_level_and_short_release(self, trip_table):
+        tree = build_tree(trip_table)
+        exact = [dict(m) for m in tree.levels]
+        exact[2] = {}
+        errors = self.errors(tree, exact)
+        assert errors[2] == max(tree.levels[2].values()) and errors[4] == 0
+        for length in range(5):
+            errors = self.errors(tree, exact[:length])
+            assert errors[length:] == [max(m.values()) for m in tree.levels[length:]]
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@
 from itertools import product
 
 import pytest
+from rollup_oracle import aggregate_leaf_map as oracle_aggregate
 from rollup_oracle import parent_key
 
 from inftda import (
@@ -319,3 +320,46 @@ class TestValidateConsistency:
         bad = validate_consistency(broken)
         assert any(depth == 3 for (_, _, depth) in bad)
         assert bad == [("N", "E.x", 3)]
+
+
+class TestRollupCopies:
+    """The roll-up copies the leaf map once and deletes zeros in place; the
+    caller's map is never changed or returned, and every level keeps the
+    values and key order of ``tests/rollup_oracle.py``."""
+
+    def test_callers_map_left_alone(self):
+        origin = dest = parse_hierarchy([("0", "00"), ("0", "01"), ("1", "10")])
+        leaf_values = {("00", "10"): 0, ("01", "00"): 3, ("00", "00"): -3, ("10", "01"): 0}
+        before = list(leaf_values.items())
+        for mode in ("destination", "origin"):
+            got = aggregate_leaf_map(leaf_values, origin, dest, mode)
+            assert list(leaf_values.items()) == before
+            assert all(level is not leaf_values for level in got)
+            assert got[-1] == {("01", "00"): 3, ("00", "00"): -3}
+
+    def test_build_tree_copies_the_leaf_counts(self, trip_table):
+        tree = build_tree(trip_table)
+        assert tree.levels[-1] is not trip_table.counts
+        assert tree.levels[-1] == trip_table.counts
+
+    @pytest.mark.parametrize("mode", ["destination", "origin"])
+    def test_zeros_and_cancelling_sums_keep_the_oracle_order(self, mode):
+        # 3 levels, fan-out 2 on both sides; in destination mode the first two
+        # nonzero leaves cancel from depth 5 up, the next two from depth 4, the
+        # next two from depth 3; a zero leaf comes first, a positive one last
+        origin = dest = parse_hierarchy(_grid(2, 3))
+        leaf_values = {
+            ("111", "011"): 0,
+            ("000", "000"): 2, ("001", "000"): -2,
+            ("010", "100"): 3, ("011", "101"): -3,
+            ("100", "110"): 4, ("110", "111"): -4,
+            ("101", "010"): 5,
+        }
+        got = aggregate_leaf_map(leaf_values, origin, dest, mode)
+        want = oracle_aggregate(leaf_values, origin, dest, mode)
+        assert [list(level.items()) for level in got] == [list(level.items()) for level in want]
+        assert got[0] == {(ROOT_AREA, ROOT_AREA): 5}
+        if mode == "destination":
+            assert ("00", "000") not in got[5] and ("01", "10") not in got[4]
+            assert ("1", "11") not in got[3]
+            assert [len(level) for level in got] == [1, 1, 1, 1, 3, 5, 7]
