@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 usage error, 3 bad data, 4 bad configuration,
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from dataclasses import fields
@@ -416,6 +417,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # A command builds no reference cycle: its tables are freed by reference
+    # counting alone, so a cyclic collection pass would only rescan them.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except DataError as exc:
@@ -427,6 +432,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except Exception as exc:  # noqa: BLE001 - the CLI must not traceback at users
         print(f"unexpected error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -3,13 +3,18 @@ released tables, and JSON files.
 
 Hierarchy CSV: one row per leaf, g columns root-side first, no header.
 Trips CSV: origin,destination[,count]; a missing count means 1; no header.
-Dataset container: one compact JSON object (format tag, leaf paths,
-aggregated trips); load rebuilds through the normal constructors so every
-validation rule re-runs, and reading it never runs code.
+Dataset container (``od-dataset/3``): one compact JSON object. It holds the
+format tag; per side, each level's area ids once, in sorted order, with the
+index of each area's parent in the level above; and the aggregated trips as
+three integer columns (origin leaf index, destination leaf index, count) in
+(origin, destination) order. Loading checks every field in C-level passes
+and builds each hierarchy through the constructor ``parse_hierarchy`` ends
+in; reading it never runs code, and any other container (an older ``/2``
+one, a pickle) is refused with a request to re-ingest it.
 Release CSV: header depth,origin,destination,flow; tree mechanisms store all
 depths, leaf mechanisms only the leaf depth. Zero values are omitted (they
 read back as absent, which evaluates as zero); a node given twice is a
-DataError.
+DataError. The bytes are those ``csv.writer`` writes.
 """
 
 from __future__ import annotations
@@ -18,10 +23,21 @@ import csv
 import json
 import os
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Tuple
+from itertools import count, islice, repeat
+from operator import itemgetter, lt
+from types import SimpleNamespace
+from typing import Dict, List
 
 from .errors import ConfigError, DataError
-from .hierarchy import Key, PartitionHierarchy, TripTable, ingest_trips, parse_hierarchy
+from .hierarchy import (
+    ROOT_AREA,
+    Key,
+    PartitionHierarchy,
+    TripTable,
+    _from_parents,
+    ingest_trips,
+    parse_hierarchy,
+)
 
 __all__ = [
     "read_hierarchy_csv",
@@ -39,7 +55,7 @@ __all__ = [
     "write_json",
 ]
 
-DATASET_FORMAT = "od-dataset/2"
+DATASET_FORMAT = "od-dataset/3"
 
 
 def _read_rows(path: str) -> List[List[str]]:
@@ -110,19 +126,81 @@ def write_trips_csv(table: TripTable, path: str) -> None:
             writer.writerow([o, d, table.counts[(o, d)]])
 
 
+def _side_block(hier: PartitionHierarchy) -> dict:
+    """A hierarchy as the container stores it: each level's areas in sorted
+    order, and for each area the index of its parent in the level above."""
+    areas = [list(hier.areas(level)) for level in range(1, hier.levels + 1)]
+    parents = []
+    for above, ids, up in zip([[ROOT_AREA], *areas], areas, hier._parents[1:]):
+        index = dict(zip(above, count()))
+        parents.append(list(map(index.__getitem__, map(up.__getitem__, ids))))
+    return {"areas": areas, "parents": parents}
+
+
 def save_dataset(table: TripTable, path: str) -> None:
+    o_index, d_index = (dict(zip(side.leaves, count())) for side in (table.origin, table.dest))
+    # leaf indices follow the sorted ids, so these rows sort in (origin, destination) order
+    rows = sorted(zip(map(o_index.__getitem__, map(itemgetter(0), table.counts)),
+                      map(d_index.__getitem__, map(itemgetter(1), table.counts)),
+                      table.counts.values()))
+    o_col, d_col, c_col = map(list, zip(*rows)) if rows else ([], [], [])
     payload = {
         "format": DATASET_FORMAT,
-        "origin_paths": [table.origin.path(leaf)[1:] for leaf in table.origin.leaves],
-        "dest_paths": [table.dest.path(leaf)[1:] for leaf in table.dest.leaves],
-        "trips": sorted((o, d, c) for (o, d), c in table.counts.items()),
+        "origin": _side_block(table.origin),
+        "dest": _side_block(table.dest),
+        "trips": {"origin": o_col, "dest": d_col, "count": c_col},
     }
     with open_output(path) as fh:
         # built above from strings and ints, so there is no cycle to look for
         fh.write(json.dumps(payload, separators=(",", ":"), check_circular=False))
 
 
+def _indices(values: list, bound: int) -> bool:
+    """Whether every value is an int (not a bool) in [0, bound)."""
+    return (set(map(type, values)) <= {int}
+            and min(values, default=0) >= 0 and max(values, default=0) < bound)
+
+
+def _block(payload: dict, name: str, path: str) -> dict:
+    block = payload.get(name)
+    if not isinstance(block, dict):
+        raise DataError(f"{path}: the container has no {name!r} block")
+    return block
+
+
+def _load_side(payload: dict, name: str, path: str) -> PartitionHierarchy:
+    """The hierarchy in a container's ``name`` block, every field checked."""
+    block = _block(payload, name, path)
+    areas, parents = block.get("areas"), block.get("parents")
+    if not (isinstance(areas, list) and isinstance(parents, list)
+            and areas and len(areas) == len(parents)):
+        raise DataError(f"{path}: {name!r} needs one 'areas' and one 'parents' list per level")
+    maps: List[Dict[str, str]] = [{}]
+    above: list = [ROOT_AREA]
+    for level, (ids, up) in enumerate(zip(areas, parents), start=1):
+        where = f"{path}: {name} level {level}"
+        if not isinstance(ids, list) or not ids:
+            raise DataError(f"{where} is not a non-empty list of area ids")
+        if not (all(map(isinstance, ids, repeat(str))) and all(ids)
+                and ids == list(map(str.strip, ids))):
+            raise DataError(f"{where} holds an area id that is not a string, "
+                            f"is blank or has surrounding whitespace")
+        if not all(map(lt, ids, islice(ids, 1, None))):
+            raise DataError(f"{where}: area ids are not strictly ascending")
+        if not (isinstance(up, list) and len(up) == len(ids) and _indices(up, len(above))):
+            raise DataError(f"{where}: 'parents' is not one index into level {level - 1} "
+                            f"per area")
+        if len(set(up)) != len(above):
+            raise DataError(f"{where}: an area of level {level - 1} has no child")
+        maps.append(dict(zip(ids, map(above.__getitem__, up))))
+        above = ids
+    return _from_parents(maps)
+
+
 def load_dataset(path: str) -> TripTable:
+    """The trip table in an ``od-dataset/3`` container. Every field is checked
+    (ids, parent and leaf indices, counts, repeated pairs) and a table that
+    fails is a DataError; reading one never runs code."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -133,26 +211,56 @@ def load_dataset(path: str) -> TripTable:
     if not isinstance(payload, dict) or payload.get("format") != DATASET_FORMAT:
         raise DataError(f"{path} is not an {DATASET_FORMAT} container; one written by "
                         f"an older inftda must be re-ingested from its CSVs")
-    for name in ("origin_paths", "dest_paths", "trips"):
-        rows = payload.get(name)
-        if not isinstance(rows, list) or not all(isinstance(r, (list, tuple)) for r in rows):
-            raise DataError(f"{path}: {name!r} in the container is not a list of rows")
-    origin = parse_hierarchy(payload["origin_paths"])
-    dest = parse_hierarchy(payload["dest_paths"])
-    return ingest_trips(payload["trips"], origin, dest)
+    origin = _load_side(payload, "origin", path)
+    dest = _load_side(payload, "dest", path)
+    trips = _block(payload, "trips", path)
+    columns = [trips.get(name) for name in ("origin", "dest", "count")]
+    if not (all(isinstance(c, list) for c in columns) and len(set(map(len, columns))) == 1):
+        raise DataError(f"{path}: the container's 'trips' block needs 'origin', 'dest' "
+                        f"and 'count' lists of equal length")
+    o_col, d_col, c_col = columns
+    if not _indices(o_col, len(origin.leaves)):
+        raise DataError(f"{path}: a trip's origin is not an origin leaf index")
+    if not _indices(d_col, len(dest.leaves)):
+        raise DataError(f"{path}: a trip's destination is not a destination leaf index")
+    if not (set(map(type, c_col)) <= {int} and min(c_col, default=1) > 0):
+        raise DataError(f"{path}: a trip count is not a positive integer")
+    counts = dict(zip(zip(map(origin.leaves.__getitem__, o_col),
+                          map(dest.leaves.__getitem__, d_col)), c_col))
+    if len(counts) < len(c_col):
+        raise DataError(f"{path}: an (origin, destination) pair is given twice")
+    return TripTable(counts, origin, dest)
+
+
+class _CsvFields(dict):
+    """Each area id as ``csv.writer`` writes it in a row, quoted on first use."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._rows: List[str] = []
+        # one write call per row, so each row arrives whole
+        self._writer = csv.writer(SimpleNamespace(write=self._rows.append))
+
+    def __missing__(self, area: str) -> str:
+        # the empty field after it keeps an empty id from being written as a
+        # lone quoted field; the row ends ",\r\n"
+        self._writer.writerow((area, ""))
+        self[area] = field = self._rows.pop()[:-3]
+        return field
 
 
 def write_release_csv(levels: Dict[int, Dict[Key, int]], path: str) -> None:
-    """Persist released values; ``levels`` maps depth -> {(o, d): value}."""
+    """Persist released values; ``levels`` maps depth -> {(o, d): value}. The
+    bytes are those ``csv.writer`` writes, each id quoted once."""
+    field = _CsvFields()
     with open_output(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["depth", "origin", "destination", "flow"])
+        fh.write("depth,origin,destination,flow\r\n")
         for depth in sorted(levels):
             level = levels[depth]
-            for (o, d) in sorted(level):
-                value = level[(o, d)]
-                if value != 0 or depth == 0:
-                    writer.writerow([depth, o, d, value])
+            keys = sorted(level)
+            fh.writelines([f"{depth},{field[o]},{field[d]},{value}\r\n"
+                           for (o, d), value in zip(keys, map(level.__getitem__, keys))
+                           if value != 0 or depth == 0])
 
 
 def sidecar_path(csv_path: str, suffix: str) -> str:

@@ -116,28 +116,28 @@ def parse_hierarchy(rows: Iterable[Sequence[str]]) -> PartitionHierarchy:
         n_rows += 1
         above = ROOT_AREA
         for level, area in enumerate(fields, start=1):
-            seen = parents[level].get(area)
-            if seen is None:
-                parents[level][area] = above
-            elif seen != above:
-                raise DataError(
-                    f"inconsistent parentage for area {area!r} at level {level}: "
-                    f"{seen!r} vs {above!r}"
-                )
+            seen = parents[level].setdefault(area, above)
+            if seen != above:
+                raise DataError(f"inconsistent parentage for area {area!r} at level {level}: "
+                                f"{seen!r} vs {above!r}")
             above = area
     if g is None:
         raise DataError("empty hierarchy")
     if len(parents[g]) != n_rows:
         raise DataError("duplicate leaf rows in hierarchy")
+    return _from_parents(parents)
 
+
+def _from_parents(parents: List[Dict[str, str]]) -> PartitionHierarchy:
+    """The hierarchy in which ``parents[l]`` maps each level-l area to its
+    parent (l = 1..g): each level's areas sorted, and their children grouping."""
     areas: List[Tuple[str, ...]] = [(ROOT_AREA,)]
     children: List[Dict[str, Tuple[str, ...]]] = []
-    for level in range(1, g + 1):
-        level_areas = tuple(sorted(parents[level]))
-        areas.append(level_areas)
+    for up in parents[1:]:
+        areas.append(tuple(sorted(up)))
         grouping: Dict[str, List[str]] = {}
-        for area in level_areas:
-            grouping.setdefault(parents[level][area], []).append(area)
+        for area in areas[-1]:
+            grouping.setdefault(up[area], []).append(area)
         children.append({p: tuple(kids) for p, kids in grouping.items()})
     return PartitionHierarchy(areas, children, parents)
 

@@ -1,5 +1,6 @@
 """End-to-end command line pipeline and exit-code contract."""
 
+import gc
 import importlib
 import json
 import os
@@ -498,7 +499,8 @@ class TestExitCodes:
         assert run("evaluate", "--truth", str(dataset), "--release", str(rel),
                    "--out", str(tmp_path / "report.csv")) == 3
 
-    @pytest.mark.parametrize("reader", ["hierarchy", "trips", "release", "sidecar", "sweep"])
+    @pytest.mark.parametrize("reader",
+                             ["hierarchy", "trips", "dataset", "release", "sidecar", "sweep"])
     def test_non_utf8_input_is_3(self, dataset, tmp_path, capsys, reader):
         ds, bad, rel = tmp_path / "ds", str(tmp_path / "bad"), str(tmp_path / "rel.csv")
         (tmp_path / "bad").write_bytes(b"a,b\n\xff\xfe,c\n")
@@ -512,6 +514,8 @@ class TestExitCodes:
                           "--trips", trips, "--out", str(tmp_path / "x.bin")],
             "trips": ["ingest", "--hierarchy-o", hier_o, "--hierarchy-d", hier_d,
                       "--trips", bad, "--out", str(tmp_path / "x.bin")],
+            "dataset": ["release", "--data", bad, "--mechanism", "sh", "--epsilon", "1",
+                        "--delta", "1e-8", "--out", str(tmp_path / "x.csv")],
             "release": ["evaluate", "--truth", str(dataset), "--release", bad, "--out", report],
             "sidecar": ["evaluate", "--truth", str(dataset), "--release", rel,
                         "--meta", bad, "--out", report],
@@ -519,22 +523,29 @@ class TestExitCodes:
         }[reader]
         capsys.readouterr()
         assert run(*argv) == 3
-        assert f"cannot read {bad}" in capsys.readouterr().err
+        # a container that is not UTF-8 JSON is taken for an older one, a pickle
+        message = f"{bad} is not an od-dataset/3 container" if reader == "dataset" else (
+            f"cannot read {bad}")
+        assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("reader", ["sidecar", "sweep"])
+    @pytest.mark.parametrize("reader", ["dataset", "sidecar", "sweep"])
     def test_deeply_nested_json_is_3(self, dataset, tmp_path, capsys, reader):
         nested, rel = tmp_path / "nested.json", str(tmp_path / "rel.csv")
         nested.write_text("[" * 100_000)
         assert run("release", "--data", str(dataset), "--mechanism", "inftda",
                    "--rho", "1", "--out", rel) == 0
         argv = {
+            "dataset": ["evaluate", "--truth", str(nested), "--release", rel,
+                        "--out", str(tmp_path / "report.csv")],
             "sidecar": ["evaluate", "--truth", str(dataset), "--release", rel,
                         "--meta", str(nested), "--out", str(tmp_path / "report.csv")],
             "sweep": ["sweep", "--config", str(nested)],
         }[reader]
         capsys.readouterr()
         assert run(*argv) == 3
-        assert f"{nested} is not valid JSON" in capsys.readouterr().err
+        message = f"{nested} is not an od-dataset/3 container" if reader == "dataset" else (
+            f"{nested} is not valid JSON")
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("target", ["release-out", "release-meta", "ingest", "evaluate"])
     def test_unwritable_output_is_4(self, dataset, tmp_path, capsys, target):
@@ -587,6 +598,53 @@ class TestExitCodes:
                    "--out", str(tmp_path / "report.csv")) == 3
         assert "duplicate release row ['0', '__all__', '__all__', '999999']" in (
             capsys.readouterr().err)
+
+
+class TestCollector:
+    """``main`` pauses the cyclic collector around a command and leaves it as
+    it found it, on every way out."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @staticmethod
+    def fail_with(error):
+        def command(args):
+            raise error
+
+        return command
+
+    @pytest.mark.parametrize("code", [0, 1, 2, 3, 4])
+    def test_state_is_restored_on_each_exit(self, collector, tmp_path, monkeypatch, code):
+        if code == 1:
+            monkeypatch.setattr(cli, "cmd_synth", self.fail_with(RuntimeError("boom")))
+        argv = {
+            0: ["synth", "--levels", "2", "--out", str(tmp_path / "ds")],
+            1: ["synth", "--levels", "2", "--out", str(tmp_path / "ds")],
+            2: ["synth", "--levels", "two"],
+            3: ["ingest", "--hierarchy-o", "missing.csv", "--hierarchy-d", "m.csv",
+                "--trips", "t.csv", "--out", str(tmp_path / "x.bin")],
+            4: ["synth", "--levels", "2", "--exponent", "0.001", "--out", str(tmp_path / "ds")],
+        }[code]
+        assert run(*argv) == code
+        assert gc.isenabled() is collector
+
+    def test_state_is_restored_when_an_interrupt_escapes(self, collector, monkeypatch):
+        monkeypatch.setattr(cli, "cmd_sweep", self.fail_with(KeyboardInterrupt()))
+        with pytest.raises(KeyboardInterrupt):
+            run("sweep", "--config", "sweep.json")
+        assert gc.isenabled() is collector
+
+    def test_command_runs_with_the_collector_paused(self, collector, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_sweep", lambda args: seen.append(gc.isenabled()) or 0)
+        assert run("sweep", "--config", "sweep.json") == 0
+        assert seen == [False]
+        assert gc.isenabled() is collector
 
 
 def test_package_imports_without_numpy():
