@@ -6,29 +6,26 @@ obtained through the conversion
 
     epsilon = rho + 2 * sqrt(rho * ln(1/delta))
 
-All logarithms are natural. Noise is integer valued and sampled exactly, on
-the structure of Canonne, Kamath & Steinke (NeurIPS 2020, section 5): a
-discrete Laplace is a random sign and a geometric magnitude, and a discrete
-Gaussian is drawn by rejection from a discrete Laplace envelope. Each random
-decision asks whether a uniform lies below a probability exp(-v), v rational:
-the geometric's tail P(|x| >= k) = exp(-k/scale), or the Gaussian's
-acceptance. Tables hold integer bounds lo <= p * 2**64 <= hi for them, built
-once per parameter (and cached by its numerator and denominator) by
-fixed-point product recurrences, rounded down for lo and up for hi, from a
-few correctly rounded ``decimal`` exps. One 64-bit uniform decides unless it
-lands in [lo, hi); then it meets the exactly computed floor(p * 2**n) and,
-only while it equals that floor, more random bits, as in Karney's exact
-normal sampler (ACM TOMS 2016). So every draw has exactly the stated
-distribution, and no float decides one. At the depth-16 binary release's
-sigma2 (about 1,211) a Gaussian draw takes about 3.7 ``getrandbits`` calls: a
-magnitude and an acceptance uniform per envelope draw (1.3 per accepted
-draw) and a sign bit.
+All logarithms are natural. Noise is integer valued and sampled exactly, by
+inverting a cumulative table (Peikert's CDT sampler, CRYPTO 2010) with the
+exactness argument of Canonne, Kamath & Steinke (NeurIPS 2020): a draw is a
+function of an exact uniform u in [0, 1), and each comparison of u with a
+probability is decided by integer bounds on it, never by a float. A table
+brackets lo <= C * 2**64 <= hi the cumulative mass C at each boundary, from
+four correctly rounded ``decimal`` exps. u's first 64 bits U place the draw
+unless U is in a band [lo, hi); then the boundaries are bracketed at 64 more
+bits, and u takes 64 fresh bits while that leaves it open (brackets stay a
+few units wide, so that ends with probability 1). Past the table, draws go
+on by exact single-exp decisions.
 
-Tables stop at 1,024 entries. Past them, a magnitude is found by galloping
-exact decisions and the acceptance is one exact decision, each a ``decimal``
-exp of about 0.1 ms. That is rare while the envelope scale t stays well
-under 1,024, but from sigma2 of about 5e4 on (epsilon below about 0.15 at
-depth 16) it makes draws slower than a plain von Neumann sampler's.
+Each call reads its uniforms as ``getrandbits(64 * n)``, split into n 64-bit
+words (the words and generator state of n ``getrandbits(64)`` calls), and
+the further bits of draws left open after all of them, in draw order. So
+batching can move a draw only when that draw is undecided by its first 64
+bits. Within the cap of 8,000 boundaries (sigma2 up to about 1.45e5, Laplace
+scales up to about 74) each band holds at most two values of U and each
+tail below 2**-65 of the mass, so that has probability below
+(2 * 8,000 + 1) * 2**-64 < 2**-50.
 
 Randomness comes from stdlib ``random.Random`` instances. ``substream`` derives
 independent, reproducible generators from a root seed and a tuple of tokens
@@ -41,11 +38,14 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from bisect import bisect_right
+import sys
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from functools import lru_cache
+from typing import List, Optional, Tuple, Union
 
 from .errors import ConfigError
 
@@ -240,25 +240,12 @@ def stability_threshold(eps: float, delta: float) -> float:
 
 # ---------------------------------------------------------------------------
 # exact samplers
-#
-# Every random decision asks whether a uniform u in [0, 1) falls below a
-# probability p = exp(-v), v >= 0 rational (halved for one entry). u is read
-# lazily: its first _UNIFORM_BITS bits are one getrandbits call, U, and a
-# table entry lo <= p * 2**_UNIFORM_BITS <= hi decides unless lo <= U < hi
-# (U < lo gives u < (U + 1) / 2**b <= p; U >= hi gives u >= p). In that band,
-# and past a table's end, U is compared with floor(p * 2**n), computed
-# exactly at its n bits so far, and takes _EXTEND_BITS more bits while it
-# equals that floor. So each decision is a function of u alone, whatever
-# precision the tables have.
 
-_UNIFORM_BITS = 64  # bits of the first uniform of each decision, at most 64
-_EXTEND_BITS = 64  # bits added to an undecided uniform per step
-_TABLE_BITS = 128  # fixed-point precision of the table recurrences
-_TABLE_CAP = 1024  # entries per table; past it, exact decisions take over
-_CACHE_SIZE = 16  # parameters whose tables are kept, per sampler
-
-_GAUSS_TABLES: Dict[Tuple[int, int], tuple] = {}
-_LAPLACE_TABLES: Dict[Tuple[int, int], tuple] = {}
+_GUIDE_BITS = 14  # a uniform's top bits index the guide
+_CHUNK = 4096  # uniforms per getrandbits call
+_TABLE_CAP = 8_000  # boundaries per table: K <= 3,999
+_GUARD_BITS = 40  # fixed-point bits past the output of the recurrences
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _as_fraction(value: Numeric) -> Fraction:
@@ -296,181 +283,194 @@ def _exp_floor(num: int, den: int, n: int) -> int:
         digits += 10
 
 
-def _bracket(num: int, den: int) -> Tuple[int, int]:
-    # lo <= exp(-num/den) * 2**_TABLE_BITS <= hi
-    low = _exp_floor(num, den, _TABLE_BITS)
+def _bracket(num: int, den: int, n: int) -> Tuple[int, int]:
+    # lo <= exp(-num/den) * 2**n <= hi
+    low = _exp_floor(num, den, n)
     return low, low + 1
 
 
-def _powers(num: int, den: int, count: int) -> List[Tuple[int, int]]:
-    """_TABLE_BITS brackets of exp(-x * num/den) for x = 0..count-1: one exp
-    call, then a product recurrence rounded down for lo and up for hi."""
-    f = _TABLE_BITS
-    r_lo, r_hi = _bracket(num, den)
-    lo = hi = 1 << f
-    powers = []
-    for _ in range(count):
-        powers.append((lo, hi))
-        lo, hi = lo * r_lo >> f, -(-hi * r_hi >> f)
-    return powers
-
-
-def _uniform_scale(lo: int, hi: int) -> Tuple[int, int]:
-    # a _TABLE_BITS bracket of a probability, rounded outward to the uniform's bits
-    shift = _TABLE_BITS - _UNIFORM_BITS
-    if shift >= 0:
-        lo, hi = lo >> shift, -(-hi >> shift)
-    else:
-        lo, hi = lo << -shift, hi << -shift
-    return lo, min(hi, 1 << _UNIFORM_BITS)
-
-
-def _below(u: int, n: int, num: int, den: int, halve: int, getrandbits) -> Tuple[bool, int, int]:
-    # whether the uniform whose first n bits are u lies below
-    # exp(-num/den) / 2**halve, with u and n as far as deciding it drew them
+def _below(num: int, den: int, getrandbits) -> bool:
+    """Whether a fresh uniform lies below exp(-num/den): its first 64 bits
+    meet the exact floor(exp(-num/den) * 2**64), and take 64 more bits for
+    as long as they equal that floor at their length."""
+    u, n = getrandbits(64), 64
     while True:
-        bound = _exp_floor(num, den, n - halve)
+        bound = _exp_floor(num, den, n)
         if u != bound:
-            return u < bound, u, n
-        u = u << _EXTEND_BITS | getrandbits(_EXTEND_BITS)
-        n += _EXTEND_BITS
+            return u < bound
+        u = u << 64 | getrandbits(64)
+        n += 64
 
 
-def _step(u: int, a: int, num: int, den: int, getrandbits) -> int:
-    """The draw of G, P(G >= x) = exp(-x * num/den), whose first uniform is u,
-    where the geometric table does not place it: G is the largest x with u
-    below exp(-x * num/den), and a is known to be one. Gallops up from a,
-    then bisects, each step an exact decision."""
-    n = _UNIFORM_BITS
-    step = 1
+def _geometric(rate: Fraction, getrandbits) -> int:
+    """G with P(G >= j) = exp(-j * rate), from exact decisions alone
+    (Canonne, Kamath & Steinke, Algorithm 2): for rate s/t, r is uniform below
+    t and kept with probability exp(-r/t), v counts exp(-1) successes, and
+    G = (r + t v) // s."""
+    s, t = rate.numerator, rate.denominator
     while True:
-        below, u, n = _below(u, n, (a + step) * num, den, 0, getrandbits)
-        if not below:
+        r = getrandbits((t - 1).bit_length())
+        if r < t and _below(r, t, getrandbits):
             break
-        a += step
-        step *= 2
-    b = a + step  # u is below at a, not at b
-    while b - a > 1:
-        mid = (a + b) // 2
-        below, u, n = _below(u, n, mid * num, den, 0, getrandbits)
-        a, b = (mid, b) if below else (a, mid)
-    return a
+    v = 0
+    while _below(1, 1, getrandbits):
+        v += 1
+    return (r + t * v) // s
 
 
-def _geometric_table(num: int, den: int) -> tuple:
-    """Bounds on P(G >= x) = exp(-x * num/den), x = 1..k, for the geometric G:
-    the lower ones reversed (ascending, for bisect), the upper ones in order;
-    k reaches exp(-k * num/den) < 2**-64 unless the cap stops it first. The
-    draw is k - bisect_right(lows, U) unless U is in that entry's band, or
-    below the capped table's end."""
-    k = min(_TABLE_CAP, -(-45 * den // num))
-    lows, highs = zip(*(_uniform_scale(lo, hi) for lo, hi in _powers(num, den, k + 1)[1:]))
-    return list(reversed(lows)), list(highs), k
-
-
-def _acceptance_table(num: int, den: int, t: int) -> Tuple[List[int], List[int]]:
-    """Bounds on exp(-f(m)), f(m) = (m - c)**2 / (2 sigma2), for the magnitudes
-    m = 0, 1, ... of the envelope draw; sigma2 = num/den, c = sigma2/t.
-
-    f(0) = sigma2 / (2 t**2) and f(m+1) - f(m) = A + m * B, so exp(-f(m)) is a
-    running product of exp(-A) and powers of exp(-B): three exp calls in all.
-    The entry for 0 is halved, since a negative zero is drawn again. The table
-    ends once exp(-f(m)) < 2**-64 past c, or at the cap.
+class _Inverter:
+    """One parameter's table, and the draws it decides. The law on the
+    integers with mass proportional to w(|x|) = exp(-f(|x|)), f(m) =
+    (a m**2 + b m) / d, is a Gaussian of variance d / 2a if b = 0 and a
+    Laplace of scale d / b if a = 0. Its symbols are a left tail, -K..K and a
+    right tail: x weighs w(|x|), and a tail E = w(K+1) exp(mu**2 / 4ad) /
+    (1 - exp(-r)), mu = r d - 2a(K+1) - b, as w(K+1+j) = E (1 - exp(-r))
+    exp(-r j) exp(-(2aj - mu)**2 / 4ad), the last factor 1 for a Laplace (r
+    = b / d). Boundary j is the mass C_j of symbols 0..j; u draws the symbol
+    after those at or below it. lows[j] <= C_j * 2**64 <= tops[j] + 1, and
+    the guide names the draw of each cell of u's top bits one symbol fills.
     """
-    size = min(_TABLE_CAP, num // (den * t) + math.isqrt(90 * num // den) + 2)
-    f = _TABLE_BITS
-    g_lo, g_hi = _bracket(num, 2 * den * t * t)
-    a_lo, a_hi = _bracket(den * t - 2 * num, 2 * num * t)
-    lows, highs = [], []
-    low, high = _uniform_scale(g_lo >> 1, -(-g_hi >> 1))
-    for p_lo, p_hi in _powers(den, num, size):  # exp(-B)**m
-        lows.append(low)
-        highs.append(high)
-        step_lo, step_hi = a_lo * p_lo >> f, -(-a_hi * p_hi >> f)
-        g_lo, g_hi = g_lo * step_lo >> f, -(-g_hi * step_hi >> f)
-        low, high = _uniform_scale(g_lo, g_hi)
-    return lows, highs
+
+    def __init__(self, a: int, b: int, d: int):
+        self.a, self.b, self.d = a, b, d
+        # K puts each tail below 2**-65 of the mass (sizing only: any K is exact)
+        if a:
+            t = math.isqrt(d // (2 * a)) + 1  # floor(sigma) + 1
+            need = math.isqrt(d * (46 + t.bit_length()) // a) + 1
+        else:
+            need = d * (47 + (d // b).bit_length()) // b
+        self.half = k = min(need, (_TABLE_CAP - 2) // 2)
+        rate = Fraction(a * (2 * k + 3) + b, d)  # f(K+2) - f(K+1)
+        if a:  # past a capped table, a rate near 1/sigma keeps acceptance high
+            rate = max(rate, Fraction(1, t))
+        self.rate, self.mu = rate, rate * d - 2 * a * (k + 1) - b
+        lows, highs = self.bounds(64)
+        self.lows = array("Q", lows)
+        self.tops = array("Q", [min(hi, 1 << 64) - 1 for hi in highs])
+        # symbol j - K - 1 holds the cells from highs[j-1] up to lows[j] whole
+        shift = 64 - _GUIDE_BITS
+        self.guide: List[Optional[int]] = [None] * (1 << _GUIDE_BITS)
+        for j in range(1, len(lows)):
+            first, end = -(-highs[j - 1] >> shift), lows[j] >> shift
+            if first < end:
+                self.guide[first:end] = [j - k - 1] * (end - first)
+
+    def bounds(self, n: int) -> Tuple[List[int], List[int]]:
+        """lo <= C_j * 2**n <= hi for every boundary, from product recurrences
+        rounded down for lo and up for hi, on four correctly rounded exps."""
+        a, d, k, rate = self.a, self.d, self.half, self.rate
+        p = n + _GUARD_BITS + (rate.denominator // rate.numerator).bit_length()
+        one = 1 << p
+        x_lo, x_hi = _bracket(a + self.b, d, p)  # exp(f(m) - f(m+1)) at m = 0
+        q_lo, q_hi = _bracket(2 * a, d, p)  # its ratio from m to m + 1
+        w_lo = w_hi = one
+        weights = []
+        for _ in range(k):
+            weights.append((w_lo, w_hi))
+            w_lo, w_hi = w_lo * x_lo >> p, -(-w_hi * x_hi >> p)
+            x_lo, x_hi = x_lo * q_lo >> p, -(-x_hi * q_hi >> p)
+        weights.append((w_lo, w_hi))
+        # w(K+1) exp(mu**2 / 4ad) as one exp, so that neither factor overflows
+        tail = Fraction(a * (k + 1) ** 2 + self.b * (k + 1), d)
+        if a:
+            tail -= self.mu ** 2 / (4 * a * d)
+        t_lo, t_hi = _bracket(tail.numerator, tail.denominator, p)
+        g_lo, g_hi = _bracket(rate.numerator, rate.denominator, p)  # exp(-r)
+        e_lo, e_hi = (t_lo << p) // (one - g_lo), -(-(t_hi << p) // (one - g_hi))
+        s_lo, s_hi = e_lo, e_hi
+        ends = [(s_lo, s_hi)]
+        for lo, hi in weights[:0:-1] + weights:
+            s_lo, s_hi = s_lo + lo, s_hi + hi
+            ends.append((s_lo, s_hi))
+        z_lo, z_hi = s_lo + e_lo, s_hi + e_hi
+        return [(lo << n) // z_hi for lo, _ in ends], [-(-(hi << n) // z_lo) for _, hi in ends]
+
+    def sample(self, rng: random.Random, count: int) -> List[int]:
+        """``count`` draws. Their first uniforms are read in chunks of
+        ``getrandbits(64 * n)``, word i of a chunk being its bits 64i..64i+63;
+        the bits that draws left open by the table need are read after all
+        of them, in draw order."""
+        getrandbits, guide, place = rng.getrandbits, self.guide, self._place
+        shift = 64 - _GUIDE_BITS
+        draws: List[int] = []
+        opened: List[int] = []  # the first 64 bits of each draw left open
+        for start in range(0, count, _CHUNK):
+            n = min(_CHUNK, count - start)
+            words = array("Q", getrandbits(64 * n).to_bytes(8 * n, "little"))
+            if _BIG_ENDIAN:
+                words.byteswap()
+            draws += [g if (g := guide[u >> shift]) is not None else place(u, opened)
+                      for u in words]
+        i = -1
+        for u in opened:  # None marks their places, in draw order
+            i = draws.index(None, i + 1)
+            draws[i] = self._finish(u, getrandbits)
+        return draws
+
+    def _place(self, u: int, opened: List[int]) -> Optional[int]:
+        # the draw of u in an impure cell: a bisection and one band compare
+        j = bisect_right(self.lows, u)
+        if 0 < j < len(self.lows) and u > self.tops[j - 1]:
+            return j - self.half - 1
+        opened.append(u)
+        return None
+
+    def _finish(self, u: int, getrandbits) -> int:
+        """The draw whose first 64 bits u lie in a band or past the table. In
+        a band the boundaries are bracketed at 64 bits more than u has, and u
+        takes 64 fresh bits while that leaves it open; a geometric j past the
+        table is kept with its exact acceptance, or the draw starts again."""
+        a, k, top = self.a, self.half, len(self.lows)
+        while True:
+            j, n = bisect_right(self.lows, u), 64
+            if j and u <= self.tops[j - 1]:
+                while True:
+                    lows, highs = self.bounds(n + 64)
+                    j = bisect_left(lows, (u + 1) << 64)
+                    if not j or highs[j - 1] <= u << 64:
+                        break
+                    u, n = u << 64 | getrandbits(64), n + 64
+            if 0 < j < top:
+                return j - k - 1
+            m = _geometric(self.rate, getrandbits)
+            v = (2 * a * m - self.mu) ** 2 / (4 * a * self.d) if a else None
+            if not a or _below(v.numerator, v.denominator, getrandbits):
+                return k + 1 + m if j else -k - 1 - m
+            u = getrandbits(64)
 
 
-def _kept(cache: Dict[Tuple[int, int], tuple], key: Tuple[int, int], tables: tuple) -> tuple:
-    if len(cache) >= _CACHE_SIZE:
-        cache.clear()
-    cache[key] = tables
-    return tables
-
-
-def _laplace_tables(p: int, q: int) -> tuple:
-    return _kept(_LAPLACE_TABLES, (p, q), _geometric_table(q, p))
-
-
-def _gauss_tables(num: int, den: int) -> tuple:
-    t = math.isqrt(num // den) + 1  # floor(sqrt(floor(x))) == floor(sqrt(x))
-    accept_lo, accept_hi = _acceptance_table(num, den, t)
-    return _kept(_GAUSS_TABLES, (num, den),
-                 _geometric_table(1, t) + (t, accept_lo, accept_hi, len(accept_lo)))
+@lru_cache(maxsize=16)
+def _inverter(a: int, b: int, d: int) -> _Inverter:
+    return _Inverter(a, b, d)
 
 
 def sample_discrete_laplace(scale: Numeric, rng: random.Random, size: Optional[int] = None):
     """Exact integer Laplace draw, mass proportional to exp(-|x| / scale).
 
-    A random sign and a geometric magnitude, P(|x| >= k) = exp(-k / scale),
-    with a negative zero drawn again. Returns one int, or a list of ``size``
-    draws taken in sequence.
+    Returns one int, or a list of ``size`` draws taken in sequence. Batching
+    can move a draw only when it is undecided by its first 64 bits, with
+    probability below 2**-50 (see the module docstring).
     """
     frac = _as_fraction(scale)
     p, q = frac.numerator, frac.denominator
     if p <= 0:
         raise ConfigError("scale must be > 0")
-    lows, highs, k = _LAPLACE_TABLES.get((p, q)) or _laplace_tables(p, q)
-    getrandbits, width = rng.getrandbits, _UNIFORM_BITS
-    count = 1 if size is None else size
-    draws: List[int] = []
-    while len(draws) < count:
-        negative = getrandbits(1)
-        u = getrandbits(width)
-        y = k - bisect_right(lows, u)
-        if y == k or u < highs[y]:
-            y = _step(u, y, q, p, getrandbits)
-        if negative:
-            if not y:
-                continue
-            y = -y
-        draws.append(y)
+    draws = _inverter(0, q, p).sample(rng, 1 if size is None else size)
     return draws[0] if size is None else draws
 
 
 def sample_discrete_gaussian(sigma2: Numeric, rng: random.Random, size: Optional[int] = None):
     """Exact integer Gaussian draw, mass proportional to exp(-x^2 / (2*sigma2)).
 
-    Rejection from a discrete Laplace envelope at scale t = floor(sigma) + 1,
-    accepting y with probability exp(-(|y| - sigma2/t)^2 / (2*sigma2)); the
-    sign is drawn only for an accepted nonzero magnitude. Returns one int, or
-    a list of ``size`` draws taken in sequence.
+    Returns one int, or a list of ``size`` draws taken in sequence. Batching
+    can move a draw only when it is undecided by its first 64 bits, with
+    probability below 2**-50 (see the module docstring).
     """
     frac = _as_fraction(sigma2)
     num, den = frac.numerator, frac.denominator
     if num <= 0:
         raise ConfigError("sigma2 must be > 0")
-    lows, highs, k, t, accept_lo, accept_hi, covered = (
-        _GAUSS_TABLES.get((num, den)) or _gauss_tables(num, den))
-    getrandbits, width = rng.getrandbits, _UNIFORM_BITS
-    count = 1 if size is None else size
-    draws: List[int] = []
-    while len(draws) < count:
-        u = getrandbits(width)
-        y = k - bisect_right(lows, u)
-        if y == k or u < highs[y]:
-            y = _step(u, y, 1, t, getrandbits)
-        u = getrandbits(width)
-        if y < covered and u >= accept_hi[y]:
-            continue
-        if (y >= covered or u >= accept_lo[y]) and not _below(
-                u, width, (y * den * t - num) ** 2, 2 * num * den * t * t, 0 if y else 1,
-                getrandbits)[0]:
-            continue
-        if y and getrandbits(1):
-            y = -y
-        draws.append(y)
+    draws = _inverter(den, 0, 2 * num).sample(rng, 1 if size is None else size)
     return draws[0] if size is None else draws
 
 

@@ -19,59 +19,59 @@ BUDGET = ("--epsilon", "1", "--delta", "1e-8")
 # (mechanism, tree, extra argv) -> (release CSV, sidecar minus wall_ms, evaluate CSV)
 DIGESTS = {
     ("inftda", "destination", ()): (
-        "248cf37515a55c49c528cde5fa298dafee632492c54950f77edc34e9c229838a",
-        "7594fb70b632e8fede6653662d8a333eb90526316f08711b4c7286077dfc0e58",
-        "00b3a763331f020b9dc114e6e6f85e745976c524cd3031bf7aaad5a996fecea9",
+        "54391c2433b20be44a46f8b923f1c885a4bab9a7933eaedc65ee9f0e423a8896",
+        "689d13af21aaf077454ab5c46b9058277db7c4345b9a2244247c0d53ede5fb90",
+        "fd8b134def372bf0223c0eff9e5d96a40874c5331148dd4f778999518a0d2a44",
     ),
     ("inftda", "origin", ()): (
-        "dfa6915707dd6bc934b444cb29fdb02dfa3abe112f5f3b9e6ea9b958afecabaa",
-        "f669ffa512a4b8ce7bff2c114056b38fb1f6aa5a356ebe8835461afe7099e031",
-        "04b9d48db716d9c4ead42bd901045ecb1ce15437aa73a87ba4e0582ba3960841",
+        "5ca6a40a33b617b1afec9e3dbf97bef8e1f68ff0ba7a13ec0b455fd318ff4c43",
+        "30a065bbaf47e441a7d86dcea8697f6b4152daa04f357abe15d135e5e4401c88",
+        "ca3cff8063db62cceb98fe2a07bd3fae21bc53792e0bdd765a586431988c6c3a",
     ),
     ("tda-l2", "destination", ()): (
-        "cc77ed65a49d7174983c8dbdd4a792d3df709ddf0394de1ca1664da5fb015947",
-        "fd0ed5993405855975bc8665f86daa84cec8098a31ddd8af7d0ad59c790cf841",
-        "42db3f61b36c78510f688dafd730245d8ec31de4dc8b5414a33f3432c203de06",
+        "2c3e67cb37750e1c5e7a9eee816fbfa44e5e995478d56640f3d4558a94594077",
+        "aa493eaae3c52ac54c5ea81e69d1721b5dddb8d7120f40e9ad5bd351cfcb5114",
+        "df200c8fb842c94ba6e18febb3ef94da05692d560576a43a2fc4e6becc6b9ec4",
     ),
     ("tda-l2", "origin", ()): (
-        "947da656434b483ef5b27b6da728d2a314cd0dd50b280633317b48269362496c",
-        "4ccd0d683f0947b86b5cfe26e7351103345c8926bb30a18cb6c79926a9fb03af",
-        "243ecaf508b34484c3ad87560e9d8735575aa9eef83f57fdccdbc08a177502b9",
+        "32924be65621297e7fd589e0c20ac09b30cadb99154a39d84ee09e1f56600d05",
+        "26c2574748bc86d165c1a8839201618f32b579eb81c40f75fc49346812828689",
+        "5d212e6ea9e213bccb7a22affd0242d8655d7268d11d2a4c0145327dc2b60477",
     ),
     ("tda-linf-random", "destination", ()): (
-        "3f41671c6c6871a60a6610884a164486f0f4e50ad07279e564c1016714df3fed",
-        "e28161437f1a1f2c265ca2977c5b75821d401ac7d75e24c9295ed0a6c20cac66",
-        "70abe8568a4f8664d797df99e9d86da9ca274013d6ca3cab73a872100361fc97",
+        "30248c5fdbcb336b1470092ade72b48bf00b5c3701239546dc3aa55e3cff6450",
+        "a30c6c208782c82cbfff20c890361c638637ff02ebb598d307a403b90f201540",
+        "ee71b408fb80ddb27071daf63a8b6c0652ad8fb4b017f502649f2b7d152d2f35",
     ),
     ("tda-linf-random", "origin", ()): (
-        "93648f69af69fe8c6fa91b94050ed73afe04e7cc6d061629467f8de68dfa2805",
-        "a4e0b9f5fcab4206b2c0602dd58824d6b52c61ef9cfa8f398e91be1ea637b43b",
-        "f21d8e05cb699c37f0175ec80d1f4d8d0050647319777b8cdc204ada1b9a58e5",
+        "7b99df0f6e5fb144ce11f669901e2f29dc587202965d0106bffdf29607f4d85f",
+        "0f5fed1d391eb600fd080a48cf78c33ff5a1ff1df90c74895c14daed0012886a",
+        "c67d9303f0bb3b730747fe52b48a4290e3824a7ba48ac9b17f6ca3ed150f92fa",
     ),
     ("vanilla-gauss", "destination", ()): (
-        "9783aec9c79055587eb526077ce6cdaf37bce673f3d8e775d2accc72d4c50ecf",
+        "3e21793a3704281a6f943c889436b886357e7bff3347c669eb9ca9222b620593",
         "86dfe66d1b1726e9ee58a524c81cf69babd6f693cfb03835a20d4a2b8540a89f",
-        "b4f6aeac435cfbde5cbd96685acce0c8f1cae0aaecd9bde468daf8fcf11d22a9",
+        "ee4d6462c54e57466d3aace572733774b6edfe0d42c78dd761013b21d70d72d8",
     ),
     ("vanilla-gauss", "origin", ()): (
-        "9783aec9c79055587eb526077ce6cdaf37bce673f3d8e775d2accc72d4c50ecf",
+        "3e21793a3704281a6f943c889436b886357e7bff3347c669eb9ca9222b620593",
         "5fdba407ba49867f6bae97bfea7fe1d5f7eb58c37f5a3631e011adecdeb3673d",
-        "1bd12c1b2636c951ee51fd576573f1d40802f04f1343cae3a3919ae4df20bffd",
+        "02f9357ce48f13c26f610f8552e02799f78f5c7e0897ae00ef65fba9babb1e14",
     ),
     ("sh", "destination", ()): (
-        "efbb6151551fb18639b87e29c857feed54f7dfdf6d5f03f80e473bf26a9abd79",
+        "a03fd512bf7f0bdeb032b4fae22359fc9306e24900aadbc16e20321628c0adcf",
         "bc6ad7e589330f2765381368cff4ed498b705ef73cc77caa2ee1aba8bbc19899",
-        "450b900ff4918001311f0fb0e08d8af673cfcaf92c7bd80e549cf1a5339661ce",
+        "70944f80a7691b69d676c9ad65fa05e38d6ff097de3461178f7e6d1fc27eef37",
     ),
     ("sh", "origin", ()): (
-        "efbb6151551fb18639b87e29c857feed54f7dfdf6d5f03f80e473bf26a9abd79",
+        "a03fd512bf7f0bdeb032b4fae22359fc9306e24900aadbc16e20321628c0adcf",
         "6af32119099a5733d99e2b66fb0932a7aed69caf1ddf300454c38b9548e18f78",
-        "0c0946967cf9d44a7a6713a0612de35d5be7a5c7bae946e71500e6a1496ff4c9",
+        "e7ef41506186b91b6e679529460d33b1b1ad47008d17a31690dae5e370b98463",
     ),
     ("inftda", "destination", ("--privacy", "unbounded")): (
-        "92614e24f36ca7d1845cba4c2dbb8b2bb3cad9167cf69ae8c093b13032b82890",
-        "ce6f7f9dca55b00ed4fdba329bf09d7adae2e3c5b2b7429d1849e0d60e3a3d88",
-        "486c4a152e2526b8867515551bfeb7b14ef68b8d7d7e577618eb4f4d353e441e",
+        "3794003bb832e1f07a7810eb6a2905fec47f1b41411da0c4c3f49955b458f56f",
+        "d7589adbf7e043868cc507cef7d9cfa3bd9b25d4a24ce11b98e5c6d2a3d67bbc",
+        "4dab343e6eed01ced7f13669d210518336037c0b22f69f798676e4e5e65c5ba8",
     ),
 }
 

@@ -1,22 +1,26 @@
-"""Exactness of the table-driven samplers, checked against closed forms and
-exact references, independent of any earlier sampler.
+"""Exactness of the table-inversion samplers, checked against closed forms
+and exact references, independent of any earlier sampler.
 
 - The pmf of each sampler is within a stated total-variation bound of its
   closed form: for n draws, E[TV] <= 1/2 sum_x sqrt(p_x (1 - p_x) / n), and
   TV moves by at most 1/n per draw, so (McDiarmid) it exceeds that mean by
-  sqrt(ln(1/ALPHA) / (2n)) with probability at most ALPHA.
-- Tables rebuilt at 8-bit and 1-bit precision, where many and then most
-  decisions need the continuation, give the same draws as the full tables,
-  one for one.
-- A first uniform of 4 bits makes the continuation extend past 64 bits, and
-  the pmf still matches.
-- Every table entry brackets a 60-digit decimal reference, and the tables of
-  extreme parameters stay well under 1 MB.
+  sqrt(ln(1/ALPHA) / (2n)) with probability at most ALPHA. With the table
+  capped at a few entries, most draws go past it, and the pmf still matches.
+- Every table boundary, at 64 and at 128 bits, brackets an 80-digit decimal
+  reference, and every guide cell names the draw that reference gives.
+- Brackets built with 56 fewer bits, where many draws need the exact path,
+  give the same draws as the full tables, one for one.
+- Uniforms forced into a band, into an impure guide cell and past the table
+  are decided as the reference decides them, with their further bits read
+  after the call's uniforms, in draw order.
+- A call reads its uniforms in chunks of ``getrandbits(64 * n)``, at the
+  small-budget sigma2 draws make no exact exp, and tables stay under 400 KB.
 """
 
 import math
 import random
 import sys
+from bisect import bisect_left, bisect_right
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
@@ -36,7 +40,7 @@ VANILLA_SIGMA2 = snap_parameter(SENS.gs2_squared, 2.0 * BUDGET.rho, "sigma2", BU
 
 SIGMA2S = [Fraction(1, 3), 4, RELEASE_SIGMA2, VANILLA_SIGMA2]
 SCALES = [2, Fraction(20, 3), Fraction(1, 3)]
-# past the tables' cap of 1,024 entries, where exact decisions gallop
+# wide parameters: a table of about 2,000 boundaries, and one at the cap
 WIDE_SIGMA2, WIDE_SCALE = 10**4, 100
 
 
@@ -79,91 +83,42 @@ def test_pmf_matches_the_closed_form(sampler, param, pmf):
     assert tv <= bound, (tv, bound)
 
 
+
+
+SMALL_BUDGET = PrivacyBudget.from_eps_delta(0.1, 1e-8)
+# the per-level sigma2 of the depth-16 binary release at epsilon 0.1 (~1.2e5)
+SMALL_SIGMA2 = snap_parameter(SENS.level_gs2_squared * 16, 2.0 * SMALL_BUDGET.rho, "sigma2",
+                              SMALL_BUDGET)
+
+
+def _gauss(sigma2):
+    frac = Fraction(sigma2)
+    return frac.denominator, 0, 2 * frac.numerator
+
+
+def _laplace(scale):
+    frac = Fraction(scale)
+    return 0, frac.denominator, frac.numerator
+
+
+# (a, b, d) of the inverter; 1e12 and the Laplace scales 100 and 1e6 stop at the cap
+PARAMS = ([pytest.param(_gauss(s), id=f"gauss-{float(s):g}")
+           for s in SIGMA2S + [WIDE_SIGMA2, SMALL_SIGMA2, 10**12]]
+          + [pytest.param(_laplace(s), id=f"laplace-{float(s):g}")
+             for s in SCALES + [WIDE_SCALE, 10**6]])
+
+
 @pytest.fixture
-def rebuild(monkeypatch):
-    """``rebuild(**constants)`` sets dpcore's sampler constants; every table is
+def fresh(monkeypatch):
+    """``fresh(**constants)`` sets dpcore's sampler constants; every table is
     then built afresh, and again after the test."""
-    def rebuild(**constants):
+    def fresh(**constants):
         for name, value in constants.items():
             monkeypatch.setattr(dpcore, name, value)
-        monkeypatch.setattr(dpcore, "_GAUSS_TABLES", {})
-        monkeypatch.setattr(dpcore, "_LAPLACE_TABLES", {})
-    rebuild()
-    return rebuild
-
-
-@pytest.fixture
-def slow_paths(monkeypatch):
-    """Counts the decisions the table lookups leave to the continuation: the
-    magnitudes handed to ``_step`` and the acceptances handed to ``_below``;
-    and the most bits any uniform was extended to."""
-    seen = {"step": 0, "below": 0, "bits": 0}
-    step, below = dpcore._step, dpcore._below
-    inside = []
-
-    def counting_step(*args):
-        seen["step"] += 1
-        inside.append(True)
-        try:
-            return step(*args)
-        finally:
-            inside.pop()
-
-    def counting_below(*args):
-        seen["below"] += not inside
-        decided = below(*args)
-        seen["bits"] = max(seen["bits"], decided[2])
-        return decided
-
-    monkeypatch.setattr(dpcore, "_step", counting_step)
-    monkeypatch.setattr(dpcore, "_below", counting_below)
-    return seen
-
-
-class CountingRandom(random.Random):
-    calls = uniforms = 0
-
-    def getrandbits(self, k):
-        self.calls += 1
-        self.uniforms += k == dpcore._UNIFORM_BITS
-        return super().getrandbits(k)
-
-
-@pytest.mark.parametrize("bits, share", [(8, 0.005), (1, 0.5)], ids=["8-bit", "1-bit"])
-@pytest.mark.parametrize("sampler, param, draws", [
-    (sample_discrete_gaussian, Fraction(1, 3), 3000),
-    (sample_discrete_gaussian, 4, 3000),
-    (sample_discrete_gaussian, RELEASE_SIGMA2, 100),
-    (sample_discrete_laplace, 2, 3000),
-    (sample_discrete_laplace, Fraction(1, 3), 3000),
-], ids=["gauss-1/3", "gauss-4", "gauss-release", "laplace-2", "laplace-1/3"])
-def test_low_precision_tables_give_the_same_draws(rebuild, slow_paths, sampler, param, draws,
-                                                  bits, share):
-    full_rng, low_rng = substream(2, "one-for-one"), substream(2, "one-for-one")
-    full = sampler(param, full_rng, size=draws)
-    rebuild(_TABLE_BITS=bits)
-    slow_paths.update(step=0, below=0)
-    counting = CountingRandom()
-    counting.setstate(low_rng.getstate())
-    assert sampler(param, counting, size=draws) == full
-    assert counting.getstate() == full_rng.getstate()
-    # each decision draws one uniform: at 8 bits the first entries stay tight
-    # and 1-10% of decisions leave the tables (80% at the release sigma2); at
-    # 1 bit, most do
-    assert slow_paths["step"] + slow_paths["below"] > share * counting.uniforms
-
-
-@pytest.mark.parametrize("sampler, param, pmf", [
-    pytest.param(sample_discrete_gaussian, s, _gaussian_pmf(s), id=f"gauss-{s}")
-    for s in (Fraction(1, 3), 4)] + [
-    pytest.param(sample_discrete_laplace, s, _laplace_pmf(s), id=f"laplace-{s}")
-    for s in (2, Fraction(1, 3))])
-def test_short_first_uniform_extends_past_64_bits(rebuild, slow_paths, sampler, param, pmf):
-    rebuild(_UNIFORM_BITS=4)
-    draws = sampler(param, substream(3, "short", str(param)), size=20_000)
-    assert slow_paths["bits"] > 64
-    tv, bound = _tv_and_bound(draws, pmf)
-    assert tv <= bound, (tv, bound)
+        dpcore._inverter.cache_clear()
+    fresh()
+    yield fresh
+    dpcore._inverter.cache_clear()
 
 
 def _scaled(value: Decimal, bits: int) -> int:
@@ -180,39 +135,227 @@ def _exp_ref(num: int, den: int) -> Decimal:
         return (-Decimal(num) / Decimal(den)).exp()
 
 
-def _brackets(entry, num, den):
-    # lo <= exp(-num/den) 2**64 <= hi, which is an integer only at num = 0
-    lo, hi = entry
-    floor = _scaled(_exp_ref(num, den), 64)
-    return lo <= floor and floor + (num != 0) <= hi
+def _reference(inverter):
+    """The boundaries C_j to 80 digits: each weight its own decimal exp, the
+    tail E from its closed form at the inverter's K and rate."""
+    a, b, d, k, rate = inverter.a, inverter.b, inverter.d, inverter.half, inverter.rate
+    with localcontext() as ctx:
+        ctx.prec = 80
+        weights = [(-Decimal(a * m * m + b * m) / d).exp() for m in range(k + 1)]
+        mu = rate * d - 2 * a * (k + 1) - b
+        tail = Fraction(a * (k + 1) ** 2 + b * (k + 1), d) - (mu * mu / (4 * a * d) if a else 0)
+        envelope = 1 - (-Decimal(rate.numerator) / rate.denominator).exp()
+        total = (-Decimal(tail.numerator) / tail.denominator).exp() / envelope
+        ends = [total]
+        for w in weights[:0:-1] + weights:
+            total += w
+            ends.append(total)
+        total += ends[0]
+        return [end / total for end in ends]
 
 
-@pytest.mark.parametrize("sigma2", [Fraction(1, 3), 4, RELEASE_SIGMA2, VANILLA_SIGMA2,
-                                    WIDE_SIGMA2, 10**12])
-def test_gaussian_table_entries_bracket_the_reference(rebuild, sigma2):
-    frac = Fraction(sigma2)
-    num, den = frac.numerator, frac.denominator
-    lows, highs, k, t, accept_lo, accept_hi, covered = dpcore._gauss_tables(num, den)
-    for x in range(1, k + 1):
-        assert _brackets((lows[k - x], highs[x - 1]), x, t)
-        assert highs[x - 1] - lows[k - x] <= 2
-    assert covered == len(accept_lo) == len(accept_hi) <= dpcore._TABLE_CAP
-    for m in range(covered):
-        # exp(-(m - sigma2/t)**2 / (2 sigma2)), halved at 0
-        f_num, f_den = (m * den * t - num) ** 2, 2 * num * den * t * t
-        ref = _exp_ref(f_num, f_den) / (2 if m == 0 else 1)
-        floor = _scaled(ref, 64)
-        assert accept_lo[m] <= floor and floor + 1 <= accept_hi[m], m
-        assert accept_hi[m] - accept_lo[m] <= 2
+def _floors(reference, bits):
+    return [_scaled(c, bits) for c in reference]
 
 
-@pytest.mark.parametrize("scale", [2, Fraction(20, 3), Fraction(1, 3), WIDE_SCALE, 10**6])
-def test_laplace_table_entries_bracket_the_reference(rebuild, scale):
-    frac = Fraction(scale)
-    p, q = frac.numerator, frac.denominator
-    lows, highs, k = dpcore._laplace_tables(p, q)
-    for x in range(1, k + 1):
-        assert _brackets((lows[k - x], highs[x - 1]), x * q, p)
+@pytest.mark.parametrize("param", PARAMS)
+def test_boundaries_bracket_the_reference(fresh, param):
+    inverter = dpcore._inverter(*param)
+    reference = _reference(inverter)
+    assert len(inverter.lows) == len(reference) == 2 * inverter.half + 2 <= dpcore._TABLE_CAP
+    for j, floor in enumerate(_floors(reference, 64)):
+        # C_j * 2**64 is not an integer, so it lies in [floor, floor + 1)
+        assert inverter.lows[j] <= floor <= inverter.tops[j] <= inverter.lows[j] + 1, j
+    lows, highs = inverter.bounds(128)
+    for j, floor in enumerate(_floors(reference, 128)):
+        assert lows[j] <= floor < highs[j] <= lows[j] + 3, j
+    if inverter.half < (dpcore._TABLE_CAP - 2) // 2:
+        assert reference[0] + 1 - reference[-1] < Decimal(2) ** -64  # the tails
+
+
+@pytest.mark.parametrize("param", PARAMS)
+def test_guide_names_the_reference_draw(fresh, param):
+    inverter = dpcore._inverter(*param)
+    floors = _floors(_reference(inverter), 64)
+    width = 1 << (64 - dpcore._GUIDE_BITS)
+    named = 0
+    for cell, draw in enumerate(inverter.guide):
+        if draw is not None:
+            start = cell * width
+            # no boundary floor in the cell, and the draw is the symbol after
+            # every boundary below it
+            i = bisect_left(floors, start)
+            assert i == bisect_right(floors, start + width - 1)
+            assert draw == i - inverter.half - 1, cell
+            named += 1
+    if inverter.half < (dpcore._TABLE_CAP - 2) // 2:
+        assert named >= len(inverter.guide) // 2
+
+
+class Scripted(random.Random):
+    """A generator whose first call returns the given words, packed as
+    ``getrandbits(64 * n)`` packs them, and whose next calls return the
+    given 64-bit extensions; then it goes on as a seeded ``random.Random``.
+    ``asked`` records the bits of every call."""
+
+    def __init__(self, words, extensions=()):
+        super().__init__(9)
+        self.words, self.extensions, self.asked = list(words), list(extensions), []
+
+    def getrandbits(self, k):
+        self.asked.append(k)
+        if self.words:
+            words, self.words = self.words, []
+            assert k == 64 * len(words)
+            return sum(word << 64 * i for i, word in enumerate(words))
+        if self.extensions:
+            assert k == 64
+            return self.extensions.pop(0)
+        return super().getrandbits(k)
+
+
+def _draw(param, rng, size=None):
+    a, b, d = param
+    if a:
+        return sample_discrete_gaussian(Fraction(d, 2 * a), rng, size)
+    return sample_discrete_laplace(Fraction(d, b), rng, size)
+
+
+FORCED = [pytest.param(_gauss(s), id=f"gauss-{float(s):g}")
+          for s in (Fraction(1, 3), RELEASE_SIGMA2, SMALL_SIGMA2)] + [
+          pytest.param(_laplace(s), id=f"laplace-{float(s):g}") for s in (2, Fraction(1, 3))]
+
+
+def _banded(inverter, floors):
+    """Boundaries whose 64-bit floor no other boundary shares, from the
+    middle of the table and from both ends, and their floors."""
+    picks = [j for j in range(1, len(floors) - 1)
+             if floors[j - 1] < floors[j] < floors[j + 1]]
+    chosen = picks[: 2] + picks[len(picks) // 2 - 1: len(picks) // 2 + 1] + picks[-2:]
+    return [(j, floors[j]) for j in chosen]
+
+
+@pytest.mark.parametrize("param", FORCED)
+def test_a_uniform_in_a_band_is_decided_by_one_extension(fresh, param):
+    inverter = dpcore._inverter(*param)
+    reference = _reference(inverter)
+    floors, fine = _floors(reference, 64), _floors(reference, 128)
+    k = inverter.half
+    for j, u in _banded(inverter, floors):
+        assert inverter.lows[j] <= u <= inverter.tops[j]
+        low_word = fine[j] & (2**64 - 1)  # C_j * 2**128 lies in [fine[j], fine[j] + 1)
+        for extension in {0, 2**64 - 1, low_word ^ 1, (low_word + 2**63) % 2**64} - {low_word}:
+            rng = Scripted([u], [extension])
+            # the draw is the symbol after the boundaries below u
+            expected = bisect_right(fine, u << 64 | extension) - k - 1
+            assert _draw(param, rng) == expected, (j, extension)
+            assert rng.asked == [64, 64]
+
+
+@pytest.mark.parametrize("param", FORCED)
+def test_a_band_extends_past_128_bits_when_those_tie(fresh, param):
+    inverter = dpcore._inverter(*param)
+    reference = _reference(inverter)
+    floors, fine, finer = _floors(reference, 64), _floors(reference, 128), _floors(reference, 192)
+    k = inverter.half
+    for j, u in _banded(inverter, floors):
+        tie = fine[j] & (2**64 - 1)
+        for last in (0, 2**64 - 1):
+            rng = Scripted([u], [tie, last])
+            assert (fine[j] << 64 | last) != finer[j]
+            expected = j - k - 1 + (0 if (fine[j] << 64 | last) < finer[j] else 1)
+            assert _draw(param, rng) == expected, (j, last)
+            assert rng.asked == [64, 64, 64]
+
+
+@pytest.mark.parametrize("param", FORCED)
+def test_impure_cells_bisect_without_more_bits(fresh, param):
+    inverter = dpcore._inverter(*param)
+    floors = _floors(_reference(inverter), 64)
+    width = 1 << (64 - dpcore._GUIDE_BITS)
+    impure = [cell for cell, draw in enumerate(inverter.guide) if draw is None]
+    tried = 0
+    for cell in impure[1:-1]:
+        # just past a boundary's floor, inside the cell and off every floor
+        i = bisect_left(floors, cell * width)
+        u = floors[i] + 1
+        if u >= (cell + 1) * width or u in floors:
+            continue
+        rng = Scripted([u])
+        assert _draw(param, rng) == bisect_right(floors, u) - inverter.half - 1
+        assert rng.asked == [64]
+        tried += 1
+    assert tried >= min(3, len(impure) - 2)
+
+
+@pytest.mark.parametrize("param", FORCED)
+def test_further_bits_come_after_the_call_in_draw_order(fresh, param):
+    inverter = dpcore._inverter(*param)
+    fine = _floors(_reference(inverter), 128)
+    k = inverter.half
+    (_, u1), (_, u2) = _banded(inverter, _floors(_reference(inverter), 64))[2:4]
+    pure = next(cell for cell, draw in enumerate(inverter.guide) if draw is not None)
+    u0 = pure << (64 - dpcore._GUIDE_BITS)
+    e1, e2 = 0, 2**64 - 1
+    rng = Scripted([u1, u0, u2], [e1, e2])
+    draws = _draw(param, rng, size=3)
+    assert rng.asked == [192, 64, 64]
+    assert draws == [bisect_right(fine, u1 << 64 | e1) - k - 1, inverter.guide[pure],
+                     bisect_right(fine, u2 << 64 | e2) - k - 1]
+
+
+@pytest.mark.parametrize("param", FORCED + [pytest.param(_gauss(10**12), id="gauss-1e12"),
+                                            pytest.param(_laplace(10**6), id="laplace-1e6")])
+def test_past_the_table_the_draw_goes_on_from_fresh_bits(fresh, param):
+    inverter = dpcore._inverter(*param)
+    fine = _floors(_reference(inverter), 128)
+    k, top = inverter.half, len(fine) - 1
+    for u, last in ((0, 0), (2**64 - 1, 2**64 - 1)):
+        j = 0 if u == 0 else top
+        # a band's 64-bit extension is read first; the tail's bits follow
+        banded = inverter.lows[j] <= u <= inverter.tops[j]
+        rng = Scripted([u], [last] if banded else [])
+        assert (u << 64 | last < fine[0]) if u == 0 else (u << 64 | last > fine[top])
+        draw = _draw(param, rng)
+        assert (draw < -k) if u == 0 else (draw > k)
+        assert rng.asked[: 1 + banded] == [64] * (1 + banded)
+        assert len(rng.asked) >= 4 + banded  # a geometric: its uniform, two decisions at least
+
+
+@pytest.mark.parametrize("sampler, param, pmf", [
+    pytest.param(sample_discrete_gaussian, s, _gaussian_pmf(s), id=f"gauss-{float(s):g}")
+    for s in (4, 100)] + [
+    pytest.param(sample_discrete_laplace, s, _laplace_pmf(s), id=f"laplace-{float(s):g}")
+    for s in (2, 3)])
+def test_capped_tables_keep_the_pmf(fresh, sampler, param, pmf):
+    # K = 3: most draws of sigma2 = 100 land past the table, whose envelope
+    # runs at rate 1/(floor(sigma) + 1)
+    fresh(_TABLE_CAP=8)
+    draws = sampler(param, substream(3, "capped", str(param)), size=20_000)
+    tv, bound = _tv_and_bound(draws, pmf)
+    assert tv <= bound, (tv, bound)
+    assert sum(abs(x) > 3 for x in draws) > 0.05 * len(draws)
+
+
+@pytest.mark.parametrize("param, draws", [
+    pytest.param(_gauss(Fraction(1, 3)), 3000, id="gauss-1/3"),
+    pytest.param(_gauss(4), 3000, id="gauss-4"),
+    pytest.param(_gauss(RELEASE_SIGMA2), 300, id="gauss-release"),
+    pytest.param(_laplace(2), 3000, id="laplace-2"),
+    pytest.param(_laplace(Fraction(1, 3)), 3000, id="laplace-1/3"),
+])
+def test_coarse_brackets_give_the_same_draws(fresh, monkeypatch, param, draws):
+    # 56 bits fewer in every recurrence: the bands widen until 14-100% of
+    # draws need the exact path, and each draw must still come out the same
+    full_rng, coarse_rng = substream(2, "one-for-one"), substream(2, "one-for-one")
+    full = _draw(param, full_rng, size=draws)
+    fresh(_GUARD_BITS=-56)
+    finish, finished = dpcore._Inverter._finish, []
+    monkeypatch.setattr(dpcore._Inverter, "_finish",
+                        lambda self, *args: finished.append(1) or finish(self, *args))
+    assert _draw(param, coarse_rng, size=draws) == full
+    assert coarse_rng.getstate() == full_rng.getstate()
+    assert len(finished) > 0.1 * draws
 
 
 def test_exact_floor_matches_the_reference():
@@ -223,50 +366,52 @@ def test_exact_floor_matches_the_reference():
         values.append((rng.randrange(50 * den), den))
     for num, den in values:
         assert dpcore._exp_floor(num, den, 64) == _scaled(_exp_ref(num, den), 64)
-    for num, den in ((-1, 3), (-7, 3), (-1, 1000)):  # above 1, like the acceptance's exp(-A)
+    for num, den in ((-1, 3), (-7, 3), (-1, 1000)):  # above 1, like a tail's exp(mu**2 / 4ad)
         assert dpcore._exp_floor(num, den, 128) == _scaled(_exp_ref(num, den), 128)
 
 
-def _reference_geometric(u: int, num: int, den: int) -> int:
-    # the largest x with u < floor(exp(-x num/den) 2**64): the inversion, by bisection
-    lo, hi = 0, 46 * den // num + 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if u < _scaled(_exp_ref(mid * num, den), 64):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+class CountingRandom(random.Random):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.asked = []
+
+    def getrandbits(self, k):
+        self.asked.append(k)
+        return super().getrandbits(k)
 
 
-@pytest.mark.parametrize("num, den", [(1, 101), (1, 10**6 + 1), (1, 10**6)],
-                         ids=["gauss-t-101", "gauss-sigma2-1e12", "laplace-1e6"])
-def test_past_the_table_the_gallop_inverts_exactly(rebuild, num, den):
-    lows, highs, k = dpcore._geometric_table(num, den)
-    assert k == dpcore._TABLE_CAP
-    rng = random.Random(5)
-    cases = [(u, _reference_geometric(u, num, den))
-             for u in [rng.getrandbits(40) for _ in range(20)]]
-    # just above and below the floor of exp(-x num/den) 2**64, where it is far
-    # from its neighbours
-    for x in [k + 1, 2 * k, 3 * k + 7] + [rng.randrange(k, 40 * den // num) for _ in range(30)]:
-        floor = _scaled(_exp_ref(x * num, den), 64)
-        if floor > 4 * den // num + 10**6:
-            cases += [(floor - 1, x), (floor + 1, x - 1)]
-
-    def no_more_bits(bits):
-        raise AssertionError("a 64-bit uniform off every floor needs no more bits")
-
-    for u, expected in cases:
-        assert u < lows[0]  # below the table's end, so G >= k
-        assert dpcore._step(u, k, num, den, no_more_bits) == expected, u
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 4096, 4097])
+def test_a_bulk_read_splits_into_the_words_of_single_reads(n):
+    bulk, single = random.Random(5), random.Random(5)
+    words = bulk.getrandbits(64 * n).to_bytes(8 * n, "little")
+    assert [int.from_bytes(words[8 * i: 8 * i + 8], "little") for i in range(n)] == [
+        single.getrandbits(64) for _ in range(n)]
+    assert bulk.getstate() == single.getstate()
 
 
-def test_gaussian_draw_takes_at_most_five_generator_calls():
-    rng = CountingRandom(6)
-    draws = 100_000
-    sample_discrete_gaussian(RELEASE_SIGMA2, rng, size=draws)
-    assert rng.calls / draws <= 5
+@pytest.mark.parametrize("sampler, param", [(sample_discrete_gaussian, RELEASE_SIGMA2),
+                                            (sample_discrete_laplace, 2)],
+                         ids=["gauss-release", "laplace-2"])
+def test_a_call_reads_its_uniforms_in_chunks(fresh, sampler, param):
+    rng, single = CountingRandom(6), random.Random(6)
+    sampler(param, rng, size=10_000)
+    chunk = dpcore._CHUNK
+    assert rng.asked == [64 * chunk, 64 * chunk, 64 * (10_000 - 2 * chunk)]
+    for _ in range(10_000):
+        single.getrandbits(64)
+    assert rng.getstate() == single.getstate()
+
+
+def test_small_budget_draws_make_no_exact_exp(fresh, monkeypatch):
+    rng = substream(8, "small budget")
+    sample_discrete_gaussian(SMALL_SIGMA2, rng)  # builds the table
+    assert 2 * dpcore._inverter(*_gauss(SMALL_SIGMA2)).half + 2 < dpcore._TABLE_CAP
+    calls = []
+    exp_floor = dpcore._exp_floor
+    monkeypatch.setattr(dpcore, "_exp_floor", lambda *args: calls.append(args) or exp_floor(*args))
+    draws = sample_discrete_gaussian(SMALL_SIGMA2, rng, size=10_000)
+    assert calls == []
+    assert 0.9 < sum(x * x for x in draws) / 10_000 / SMALL_SIGMA2 < 1.1
 
 
 def _deep_size(obj, seen) -> int:
@@ -279,12 +424,15 @@ def _deep_size(obj, seen) -> int:
     return size
 
 
-def test_table_memory_stays_bounded(rebuild):
+def test_table_memory_stays_bounded(fresh):
     rng = random.Random(7)
     gauss = sample_discrete_gaussian(10**12, rng, size=200)
     laplace = sample_discrete_laplace(10**6, rng, size=200)
+    small = sample_discrete_gaussian(SMALL_SIGMA2, rng, size=200)
     assert 10**5 < sum(x * x for x in gauss) / 200 / 10**6 < 10**7  # sigma2 ~ 1e12
     assert 10**5 < sum(map(abs, laplace)) / 200 < 10**7
-    tables = [dpcore._GAUSS_TABLES[10**12, 1], dpcore._LAPLACE_TABLES[10**6, 1]]
-    sizes = [_deep_size(table, set()) for table in tables]
+    assert 0.5 < sum(x * x for x in small) / 200 / SMALL_SIGMA2 < 2
+    tables = [dpcore._inverter(*_gauss(10**12)), dpcore._inverter(*_laplace(10**6)),
+              dpcore._inverter(*_gauss(SMALL_SIGMA2))]
+    sizes = [_deep_size((table.lows, table.tops, table.guide), set()) for table in tables]
     assert all(size < 400_000 for size in sizes), sizes
