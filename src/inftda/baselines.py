@@ -14,7 +14,7 @@ past that it runs in exact integer arithmetic, so every release keeps its sums.
 from __future__ import annotations
 
 import math
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Dict, List, Sequence
 
 from .dpcore import (
@@ -28,6 +28,7 @@ from .dpcore import (
 )
 from .errors import ConfigError
 from .hierarchy import Key, TripTable
+from .intopt import solve_runs
 from .topdown import DPRelease, HierTree, ReleaseConfig, release
 
 __all__ = [
@@ -162,18 +163,18 @@ def _euclidean_solver(noisy: Sequence[int], sizes: Sequence[int], totals: Sequen
     """Project each segment of ``noisy`` (``sizes[i]`` children of a parent
     with total ``totals[i]``) onto {y >= 0, sum = total} and round, keeping
     the sum; returns the segments' values concatenated. Reads no order and no rng.
+
+    ``intopt.solve_runs`` walks the level: a lone child takes the total, and a
+    run of pairs takes one pass in which (a, b) with total c becomes (y, c - y),
+    y = clamp((a - b + c + 1) // 2, 0, c). The projection of (a, b) is
+    clamp((a - b + c) / 2, 0, c) and c minus that; where a - b + c is odd both
+    have fraction 1/2, and the tie goes to the lower index, so the first child
+    rounds up, as the floor of half of one more does. Where the projection
+    clips, both clamps are whole and agree. Larger segments take
+    ``_project_and_round``.
     """
-    values: List[int] = []
-    pos = 0
-    for d, total in zip(sizes, totals):
-        if d == 2:
-            # clamp((a - b + total) / 2, 0, total); the index tie-break rounds a half up
-            first = min(max(-((noisy[pos + 1] - noisy[pos] - total) // 2), 0), total)
-            values += (first, total - first)
-        else:
-            values += _project_and_round(noisy[pos:pos + d], total)
-        pos += d
-    return values
+    return solve_runs(noisy, sizes, totals, lambda run: repeat(1),
+                      _project_and_round)
 
 
 def tda_l2(tree: HierTree, config: ReleaseConfig) -> DPRelease:

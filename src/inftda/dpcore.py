@@ -318,6 +318,14 @@ def _geometric(rate: Fraction, getrandbits) -> int:
     return (r + t * v) // s
 
 
+def _words(getrandbits, n: int) -> array:
+    # n uniforms from one getrandbits(64 * n): word i is its bits 64i..64i+63
+    words = array("Q", getrandbits(64 * n).to_bytes(8 * n, "little"))
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words
+
+
 class _Inverter:
     """One parameter's table, and the draws it decides. The law on the
     integers with mass proportional to w(|x|) = exp(-f(|x|)), f(m) =
@@ -392,19 +400,17 @@ class _Inverter:
         of them, in draw order."""
         getrandbits, guide, place = rng.getrandbits, self.guide, self._place
         shift = 64 - _GUIDE_BITS
-        draws: List[int] = []
+        # one chunk, or a chunk read as the previous one is placed
+        chunks = (_words(getrandbits, count),) if count <= _CHUNK else (
+            _words(getrandbits, min(_CHUNK, count - start)) for start in range(0, count, _CHUNK))
         opened: List[int] = []  # the first 64 bits of each draw left open
-        for start in range(0, count, _CHUNK):
-            n = min(_CHUNK, count - start)
-            words = array("Q", getrandbits(64 * n).to_bytes(8 * n, "little"))
-            if _BIG_ENDIAN:
-                words.byteswap()
-            draws += [g if (g := guide[u >> shift]) is not None else place(u, opened)
-                      for u in words]
-        i = -1
-        for u in opened:  # None marks their places, in draw order
-            i = draws.index(None, i + 1)
-            draws[i] = self._finish(u, getrandbits)
+        draws = [g if (g := guide[u >> shift]) is not None else place(u, opened)
+                 for words in chunks for u in words]
+        if opened:
+            i = -1
+            for u in opened:  # None marks their places, in draw order
+                i = draws.index(None, i + 1)
+                draws[i] = self._finish(u, getrandbits)
         return draws
 
     def _place(self, u: int, opened: List[int]) -> Optional[int]:

@@ -11,16 +11,20 @@ surplus remains, and relax the clip radius t by one notch per full round. The
 visiting order picks which optimal solution is returned: ascending order
 reduces the smallest entries first (fewest spurious positives), descending
 reduces the largest first (fewest spurious zeros), random emulates an
-arbitrary optimum. ``intopt_fast`` returns the same solution in closed form
-for d <= 2, where every parent of a binary hierarchy lands.
+arbitrary optimum. ``intopt_fast`` returns the same solution: one coordinate
+takes the total, two take a closed form (every parent of a binary hierarchy
+has two children), and more run a shortcut of the loop.
 
 ``intopt_level`` solves a whole level of such problems in one call: the
 children of many parents, concatenated in parent order, with each parent's
 child count and target total. It returns the concatenated solutions, each
 exactly what ``intopt_fast`` returns for its segment; with the random order
-the segments take their shuffles from the one rng in segment order. The d = 2
-closed form runs inline there, since a call per parent would cost more than
-the solve itself, and ``intopt_fast`` reaches it through that same code.
+the segments take their shuffles from the one rng in segment order. It walks
+the level in maximal runs of equal child count (``solve_runs``) and solves a
+run of pairs in one pass of the closed form, since a call per parent would
+cost more than the solve itself; ``intopt_fast`` reaches the closed form
+through that same pass, and the ``tda-l2`` baseline's solver walks its levels
+with it too.
 
 All arithmetic is exact (Python integers), so there is no overflow path.
 """
@@ -29,11 +33,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from itertools import groupby
+from operator import lt, sub
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["OptResult", "ORDERS", "intopt_fast", "intopt_level"]
 
 ORDERS = ("ascending", "descending", "random")
+
+_BAD_SEGMENTS = "segments must be non-empty, cover the input and have one total each"
 
 
 @dataclass(frozen=True)
@@ -66,14 +74,13 @@ def intopt_fast(
 ) -> OptResult:
     """Same output as the reference loop frozen in ``tests/intopt_oracle.py``.
 
-    It has a closed form for d <= 2 and two shortcuts above the loop.
+    A lone coordinate takes c and a pair takes ``intopt_level``'s closed form.
 
-    For d = 2 it takes ``intopt_level``'s closed form.
-
-    Above that, coordinates already clipped to -x_i are dropped from the
-    rotation at each wrap (they can only no-op), and the radius jumps by the
-    whole-round average surplus instead of by 1, so a round either finishes the
-    job or retires at least one coordinate. Worst case O(d^2), not O(d * max|x|).
+    Above that the loop runs with two shortcuts: coordinates already clipped
+    to -x_i are dropped from the rotation at each wrap (they can only no-op),
+    and the radius jumps by the whole-round average surplus instead of by 1,
+    so a round either finishes the job or retires at least one coordinate.
+    Worst case O(d^2), not O(d * max|x|).
     """
     if len(x) == 0:
         raise ValueError("x must be non-empty")
@@ -114,6 +121,74 @@ def intopt_fast(
     return OptResult(tuple(v + dz for v, dz in zip(xs, z)), max(map(abs, z)))
 
 
+def solve_runs(
+    noisy: Sequence[int],
+    sizes: Sequence[int],
+    totals: Sequence[int],
+    lifts: Callable[[List[int]], Iterable[int]],
+    solve: Callable[[List[int], int], Sequence[int]],
+) -> List[int]:
+    """Solve consecutive segments of ``noisy``, the i-th holding ``sizes[i]``
+    coordinates with target sum ``totals[i]``, in maximal runs of equal size;
+    returns the solutions concatenated.
+
+    A one-coordinate segment takes its total. A run of two-coordinate
+    segments is solved in one pass: the pair (a, b) with total c becomes
+    (y, c - y), y = clamp((a - b + c + f) // 2, 0, c), with f in {0, 1} the
+    pair's entry of ``lifts(run)``. ``lifts`` is called once per pair run and
+    every larger segment gets ``solve(segment, total)``, all in level order,
+    so what either draws from an rng it draws segment by segment. The level
+    is checked before any segment is solved, so a level refused with
+    ``ValueError`` has called neither ``lifts`` nor ``solve``.
+    """
+    if len(totals) != len(sizes):
+        raise ValueError(_BAD_SEGMENTS)
+    if sizes and sizes.count(sizes[0]) == len(sizes):
+        shape = [(sizes[0], len(sizes))]
+    else:
+        shape = [(d, len(list(run))) for d, run in groupby(sizes)]
+    covered = 0
+    for d, n in shape:
+        if d < 1:
+            raise ValueError(_BAD_SEGMENTS)
+        covered += d * n
+    if covered != len(noisy):
+        raise ValueError(_BAD_SEGMENTS)
+    if totals and min(totals) < 0:
+        raise ValueError(f"target sums must be non-negative, got {min(totals)!r}")
+    values = [0] * len(noisy)
+    pos = segment = 0
+    for d, n in shape:
+        end = pos + d * n
+        run_totals = totals[segment:segment + n]
+        if d == 2:
+            run = noisy[pos:end]
+            pairs = iter(run)
+            firsts = [0 if y < 0 else c if y > c else y
+                      for a, b, c, f in zip(pairs, pairs, run_totals, lifts(run))
+                      for y in [(a - b + c + f) // 2]]
+            values[pos:end:2] = firsts
+            values[pos + 1:end:2] = map(sub, run_totals, firsts)
+        elif d == 1:
+            values[pos:end] = run_totals
+        else:
+            for start, c in zip(range(pos, end, d), run_totals):
+                values[start:start + d] = solve(noisy[start:start + d], c)
+        pos, segment = end, segment + n
+    return values
+
+
+def _firsts(order: str, rng: Optional[random.Random]) -> Callable[[List[int]], Iterable[int]]:
+    # for each pair of a run, the index its visit order reaches first (ties go
+    # to index 0), which is the one a pair with an odd surplus lowers
+    if order == "ascending":
+        return lambda run: map(lt, run[1::2], run[0::2])
+    if order == "descending":
+        return lambda run: map(lt, run[0::2], run[1::2])
+    return lambda run: [_order_indices(run[i:i + 2], order, rng)[0]
+                        for i in range(0, len(run), 2)]
+
+
 def intopt_level(
     noisy: Sequence[int],
     sizes: Sequence[int],
@@ -126,37 +201,27 @@ def intopt_level(
 
     Each segment gets exactly ``intopt_fast(segment, total, order, rng).values``,
     in segment order, so a random order shuffles from ``rng`` segment by
-    segment. For d = 2, with T = c - a - b and base = ceil(T / 2), that is
-    (0, c) if base < -a, (c, 0) if base < -b, else (a + base, b + base) with,
-    for odd T, one unit off the first still-positive coordinate in visiting
-    order (ties go to index 0; a random order shuffles the pair as the loop would).
+    segment. ``solve_runs`` walks the level in runs of equal size, so a run of
+    pairs takes one pass of a closed form. For the pair (a, b) with total c
+    and T = c - a - b, the loop moves both by ceil(T / 2), or, where that
+    leaves the smaller value m below 0, sets m to 0 and the other to c; for
+    odd T it then takes the spare unit off the coordinate its order visits
+    first (x_f; the other is x_o) if that is still positive, else off x_o.
+    Each case gives y_f = clamp(x_f + floor(T / 2), 0, c):
+    - the clip is m + ceil(T / 2) < 0, which puts x_f + floor(T / 2) below 0
+      if m = x_f, and above c if m = x_o (it equals c - x_o - ceil(T / 2));
+    - no clip and even T, or odd T with x_f + ceil(T / 2) > 0, gives
+      y_f = x_f + floor(T / 2), within [0, c] as both shifted values are;
+    - odd T with x_f + ceil(T / 2) = 0 leaves y_f = 0, where
+      x_f + floor(T / 2) = -1 clamps to 0.
+    Equal values tie to index 0 in both sorted orders; a random order
+    shuffles [0, 1] from ``rng`` once per pair, in pair order, as the loop
+    does. With f the index of x_f, y_0 = clamp((a - b + c + f) // 2, 0, c):
+    for f = 1, c - clamp(b + floor(T / 2), 0, c) = clamp(a + ceil(T / 2), 0, c).
     """
     if order not in ORDERS:
         raise ValueError(f"order must be one of {ORDERS}, got {order!r}")
-    if min(sizes, default=1) < 1 or sum(sizes) != len(noisy) or len(totals) != len(sizes):
-        raise ValueError("segments must be non-empty, cover the input and have one total each")
-    if min(totals, default=0) < 0:
-        raise ValueError(f"target sums must be non-negative, got {min(totals)!r}")
-    ascending, shuffled = order == "ascending", order == "random"
-    values: List[int] = []
-    pos = 0
-    for d, c in zip(sizes, totals):
-        if d == 2:
-            a, b = noisy[pos], noisy[pos + 1]
-            if shuffled:
-                first = _order_indices([a, b], order, rng)[0]
-            else:
-                first = int(b < a if ascending else a < b)
-            target = c - a - b
-            base = -((-target) // 2)
-            if base < -(a if a < b else b):  # the smaller one clips to 0 (a != b here)
-                values += (0, c) if a < b else (c, 0)
-            else:
-                y = [a + base, b + base]
-                if 2 * base > target:
-                    y[first if y[first] > 0 else 1 - first] -= 1
-                values += y
-        else:
-            values += intopt_fast(noisy[pos:pos + d], c, order, rng).values
-        pos += d
-    return values
+    if order == "random" and rng is None:
+        raise ValueError("order='random' needs an rng")
+    return solve_runs(noisy, sizes, totals, _firsts(order, rng),
+                      lambda segment, c: intopt_fast(segment, c, order, rng).values)

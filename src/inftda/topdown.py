@@ -156,7 +156,8 @@ def release(
         ``block`` stream serves them all, or each parent has its own stream;
         per stream, all the noise comes first, then one solve over it."""
         true_get = tree.levels[depth].get
-        keys = [key for key in sorted(parents) if parents[key] > 0]
+        # released values are never negative, so the truthy ones are the positive
+        keys = sorted(compress(parents, parents.values()))
         units = [(keys, block)] if block is not None else [
             ([key], substream(config.seed, depth - 1, key[0], key[1])) for key in keys]
         current: Dict[Key, int] = {}
@@ -164,7 +165,8 @@ def release(
             children, sizes = tree.child_keys(group, depth - 1)
             noise = sample_discrete_gaussian(sigma2, rng, size=len(children))
             noisy = list(map(add, map(true_get, children, repeat(0)), noise))
-            values = solver(noisy, sizes, [parents[key] for key in group], config.order, rng)
+            totals = list(map(parents.__getitem__, group))
+            values = solver(noisy, sizes, totals, config.order, rng)
             current.update(compress(zip(children, values), values))  # the positive ones
         return current
 

@@ -7,9 +7,12 @@ of a mechanism whose solver reads no randomness (``inftda`` ascending and
 descending, ``tda-l2``) must equal, byte for byte, the frozen per-parent
 descent of ``descent_oracle`` run with the frozen reference solvers.
 ``tda-linf-random`` reads its shuffles from the stream after the noise, so it
-is checked for consistency and for the same output at any CPU count.
+is checked for consistency, for the same output at any CPU count, and
+against the SHA-256 of its release, so that a solver reading the shuffles out
+of segment order fails.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -65,6 +68,15 @@ def _reference_solvers(mechanism):
     return lambda noisy, total, order, rng: intopt_simple(noisy, total, order, rng).values
 
 
+# SHA-256 of repr([sorted(level.items()) for level in release.tree.levels]) of
+# the random-order release below, by (mode, privacy)
+RANDOM_DIGESTS = {
+    ("destination", "bounded"): "eeeb277489e728abe3e6e6b73cfafe22954403cbd3d94728c30886d05457125d",
+    ("destination", "unbounded"): "81bdaec9e7d6df8d0ed9bf2195f43ee3c63b6f7382991072145819d143c46544",
+    ("origin", "bounded"): "b8baf76b8cfc2024cade3c5927487f301696daab709692c76a23697b79c0ce88",
+    ("origin", "unbounded"): "23fc5acbec0a00ab762544a4bd6fed38c8171cf4305a9519c52267ac5c287daf",
+}
+
 RUNS = [("inftda", "ascending"), ("inftda", "descending"), ("tda-l2", "ascending")]
 
 
@@ -101,3 +113,5 @@ def test_random_order_release_is_consistent_at_1_2_and_4_cpus(table, forks, monk
         runs[cpus] = [sorted(level.items()) for level in rel.tree.levels]
     assert forks.count == 0  # a release runs on one CPU
     assert runs[1] == runs[2] == runs[4]
+    digest = hashlib.sha256(repr(runs[1]).encode()).hexdigest()
+    assert digest == RANDOM_DIGESTS[(mode, sens.privacy)]
